@@ -1,5 +1,6 @@
-//! Regenerates every table of `EXPERIMENTS.md` (experiments E1–E12) and
-//! prints them to stdout.
+//! Runs the paper's evaluation (experiments E1–E12, one `eN_*` function
+//! each in this file) and the per-PR acceptance snapshots (`prN_*`),
+//! printing their tables to stdout.
 //!
 //! Usage:
 //!
@@ -7,7 +8,7 @@
 //! cargo run --release -p arrayeq-bench --bin run_experiments            # all
 //! cargo run --release -p arrayeq-bench --bin run_experiments -- --exp e6
 //! cargo run --release -p arrayeq-bench --bin run_experiments -- --exp pr1 \
-//!     [--out BENCH_PR1.json]   # tabling keying-scheme comparison snapshot
+//!     [--out BENCH_PR1.json]   # tabling on/off scaling snapshot
 //! cargo run --release -p arrayeq-bench --bin run_experiments -- --exp pr4 \
 //!     [--out BENCH_PR4.json] [--quick]   # parallel checking snapshot
 //! cargo run --release -p arrayeq-bench --bin run_experiments -- --exp pr6 \
@@ -436,9 +437,9 @@ fn e11_focused_checking() {
 }
 
 /// PR1 acceptance snapshot: checker wall-time on the `scaling_addg_size`
-/// workloads with the three tabling configurations — structural-hash keys
-/// (default), legacy canonical-string keys and no tabling — measured in one
-/// run and written to a JSON file.
+/// workloads with tabling (structural-hash keys) and without, measured in
+/// one run and written to a JSON file.  The legacy string-keyed tabling
+/// mode is gone; its historical column lives on in `BENCH_PR1.json`.
 fn pr1_tabling_keying(out_path: &str) {
     header(
         "PR1",
@@ -469,34 +470,23 @@ fn pr1_tabling_keying(out_path: &str) {
     };
 
     println!(
-        "{:<12} {:>10} {:>14} {:>16} {:>14} {:>10} {:>10}",
-        "statements",
-        "seed/ms",
-        "hash-keys/ms",
-        "string-keys/ms",
-        "no-table/ms",
-        "speedup",
-        "lookups"
+        "{:<12} {:>10} {:>14} {:>14} {:>10} {:>10}",
+        "statements", "seed/ms", "hash-keys/ms", "no-table/ms", "speedup", "lookups"
     );
     let mut rows = Vec::new();
     let mut seed_speedup_log_sum = 0.0;
-    let mut key_speedup_log_sum = 0.0;
     for (i, layers) in layer_counts.into_iter().enumerate() {
         let w = generated_pair(layers, N, SEED);
         let (hash_ms, hash_report) = measure(&w, &CheckOptions::default());
-        let (string_ms, _) = measure(&w, &CheckOptions::default().with_string_table_keys());
         let (no_tab_ms, _) = measure(&w, &CheckOptions::default().without_tabling());
         let seed_ms = seed_baseline_ms[i];
         let seed_speedup = seed_ms / hash_ms;
-        let key_speedup = string_ms / hash_ms;
         seed_speedup_log_sum += seed_speedup.ln();
-        key_speedup_log_sum += key_speedup.ln();
         println!(
-            "{:<12} {:>10.3} {:>14.3} {:>16.3} {:>14.3} {:>9.2}x {:>10}",
+            "{:<12} {:>10.3} {:>14.3} {:>14.3} {:>9.2}x {:>10}",
             layers + 1,
             seed_ms,
             hash_ms,
-            string_ms,
             no_tab_ms,
             seed_speedup,
             hash_report.stats.table_lookups,
@@ -507,10 +497,8 @@ fn pr1_tabling_keying(out_path: &str) {
                 "      \"statements\": {},\n",
                 "      \"seed_string_keyed_baseline_ms\": {:.3},\n",
                 "      \"hash_keys_ms\": {:.3},\n",
-                "      \"string_keys_ms\": {:.3},\n",
                 "      \"no_tabling_ms\": {:.3},\n",
                 "      \"speedup_vs_seed_baseline\": {:.3},\n",
-                "      \"speedup_hash_vs_string_same_run\": {:.3},\n",
                 "      \"table_lookups\": {},\n",
                 "      \"table_hits\": {},\n",
                 "      \"table_entries\": {}\n",
@@ -519,37 +507,31 @@ fn pr1_tabling_keying(out_path: &str) {
             layers + 1,
             seed_ms,
             hash_ms,
-            string_ms,
             no_tab_ms,
             seed_speedup,
-            key_speedup,
             hash_report.stats.table_lookups,
             hash_report.stats.table_hits,
             hash_report.stats.table_entries,
         ));
     }
     let seed_geomean = (seed_speedup_log_sum / layer_counts.len() as f64).exp();
-    let key_geomean = (key_speedup_log_sum / layer_counts.len() as f64).exp();
     let (memo_hits, memo_misses) = arrayeq_omega::feasibility_memo_stats();
     let json = format!(
         concat!(
             "{{\n",
             "  \"experiment\": \"PR1: checker wall-time on scaling_addg_size, tabling ",
-            "keying schemes and pre-refactor baseline\",\n",
+            "on and off, and pre-refactor baseline\",\n",
             "  \"command\": \"cargo run --release -p arrayeq-bench --bin run_experiments ",
             "-- --exp pr1\",\n",
             "  \"host_parallelism\": {},\n",
             "  \"baseline_note\": \"seed_string_keyed_baseline_ms measured pre-refactor ",
             "(string tabling keys, no feasibility memo, heap LinExpr) on the same ",
             "machine with the same best-of-N methodology and is the faithful ",
-            "end-to-end baseline; string_keys_ms re-runs the legacy key ",
-            "construction in this run on top of the optimised substrate and the ",
-            "widened tabling coverage, isolating the keying cost only\",\n",
+            "end-to-end baseline\",\n",
             "  \"config\": {{ \"n\": {}, \"seed\": {}, \"repeats\": {}, ",
             "\"timing\": \"best of repeats, ms\" }},\n",
             "  \"rows\": [\n{}\n  ],\n",
             "  \"geomean_speedup_vs_seed_baseline\": {:.3},\n",
-            "  \"geomean_speedup_hash_vs_string_same_run\": {:.3},\n",
             "  \"feasibility_memo\": {{ \"hits\": {}, \"misses\": {} }}\n",
             "}}\n"
         ),
@@ -559,13 +541,11 @@ fn pr1_tabling_keying(out_path: &str) {
         REPEATS,
         rows.join(",\n"),
         seed_geomean,
-        key_geomean,
         memo_hits,
         memo_misses,
     );
     std::fs::write(out_path, &json).expect("write PR1 snapshot");
     println!("geomean speedup vs pre-refactor seed baseline: {seed_geomean:.2}x");
-    println!("geomean speedup hash vs string keys (same run): {key_geomean:.2}x");
     println!("snapshot written to {out_path}");
 }
 
@@ -861,8 +841,8 @@ fn pr3_cross_query(out_path: &str) {
     println!("snapshot written to {out_path}");
 }
 
-/// PR4 acceptance snapshot: intra-query parallel checking + rename-invariant
-/// tabling keys, on wide multi-output kernels.
+/// PR4 acceptance snapshot: intra-query parallel checking on wide
+/// multi-output kernels.
 ///
 /// Measures, per workload:
 ///
@@ -872,37 +852,24 @@ fn pr3_cross_query(out_path: &str) {
 ///   worker count.  The `≥ 2×` speedup assertion at 4 threads is enforced
 ///   by the *full* experiment whenever the host actually has ≥ 4 cores;
 ///   `--quick` (the bounded CI smoke) asserts `≥ 1×` (no regression) on
-///   multi-core hosts instead — best-of-1 timing on one small workload is
-///   too noisy for the 2× gate.  On 1-core hosts (this container) the
+///   multi-core hosts instead — one small workload is too noisy for the 2×
+///   gate.  Every job count is timed best-of-5, the counts interleaved
+///   within each repeat (a single pass flipped the `≥ 1×` gate between runs
+///   on a 2-core host).  On 1-core hosts the
 ///   measured numbers and the core count are recorded and the run only
 ///   warns: a wall-time speedup on fewer cores than workers is physically
 ///   impossible, not a regression.
-/// * **Rename-invariant keys** — the same request checked sequentially with
-///   the default fingerprint keys vs the positional-key baseline
-///   (`position_table_keys`).  Because one fingerprint-key hit can discharge
-///   a whole repeated chain, raw hit *rates* are not comparable across the
-///   two schemes (the better scheme visits fewer sub-obligations); the
-///   apples-to-apples number is the **effective hit rate**: the fraction of
-///   the *baseline's* tabling lookups that the fingerprint scheme absorbs
-///   from the table (directly or via an ancestor's hit), i.e.
-///   `1 − fp_derived / pos_lookups`.  Also recorded: distinct sub-proofs
-///   actually derived and relation compositions performed (the work that
-///   sharing avoids).  The aggregate effective rate must beat the baseline
-///   rate, or the experiment aborts.
 /// * **Shared feasibility memo** — a `jobs = 8` session's feasibility-memo
 ///   hits (the PR3 snapshot recorded `feasibility_hits: 0`; the scoped
 ///   thread-local memo plus fresh worker threads make the shared level
 ///   live).
 fn pr4_parallel_checking(out_path: &str, quick: bool) {
     use arrayeq_engine::{Verifier, VerifyRequest};
-    header(
-        "PR4",
-        "intra-query parallel checking + rename-invariant tabling keys",
-    );
+    header("PR4", "intra-query parallel checking");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let repeats = if quick { 1 } else { 3 };
+    let repeats = 5;
     let workloads: Vec<Workload> = if quick {
         vec![wide_pair(4, 8, 2, 128, 7)]
     } else {
@@ -925,16 +892,14 @@ fn pr4_parallel_checking(out_path: &str, quick: bool) {
 
     let mut rows = Vec::new();
     let mut speedup4 = Vec::new();
-    // (fp sub-proofs derived, positional sub-proofs derived, positional
-    // lookups) accumulated across the workloads for the aggregate assert.
-    let mut totals = (0u64, 0u64, 0u64);
     for w in &workloads {
         let request = VerifyRequest::programs(w.original.clone(), w.transformed.clone());
-        let mut wall = Vec::new();
+        // Best of `repeats` per job count, with the job counts interleaved
+        // within each repeat so host drift hits every count alike.
+        let mut wall = vec![f64::INFINITY; job_counts.len()];
         let mut stable: Option<String> = None;
-        for &jobs in &job_counts {
-            let mut best = f64::INFINITY;
-            for _ in 0..repeats {
+        for _ in 0..repeats {
+            for (slot, &jobs) in job_counts.iter().enumerate() {
                 let engine = Verifier::builder().jobs(jobs).build();
                 let (outcome, t) = timed(|| engine.verify(&request).expect("pr4 workload runs"));
                 assert!(
@@ -952,9 +917,8 @@ fn pr4_parallel_checking(out_path: &str, quick: bool) {
                         w.name
                     ),
                 }
-                best = best.min(t.as_secs_f64() * 1e3);
+                wall[slot] = wall[slot].min(t.as_secs_f64() * 1e3);
             }
-            wall.push(best);
         }
         let spd4 = wall[0] / wall[2];
         let spd8 = wall[0] / wall[3];
@@ -963,69 +927,16 @@ fn pr4_parallel_checking(out_path: &str, quick: bool) {
             "{:<24} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>8.2}x {:>8.2}x",
             w.name, wall[0], wall[1], wall[2], wall[3], spd4, spd8
         );
-
-        // Rename-invariant keying, sequential one-shot, same request.
-        let fp = w.check(&CheckOptions::default());
-        let pos = w.check(&CheckOptions::default().with_position_table_keys());
-        assert_eq!(fp.verdict, pos.verdict);
-        let fp_derived = fp.stats.table_lookups - fp.stats.table_hits;
-        let pos_derived = pos.stats.table_lookups - pos.stats.table_hits;
-        let effective = 1.0 - fp_derived as f64 / pos.stats.table_lookups.max(1) as f64;
-        totals.0 += fp_derived;
-        totals.1 += pos_derived;
-        totals.2 += pos.stats.table_lookups;
         rows.push(format!(
             concat!(
                 "    {{ \"workload\": \"{}\", \"wall_ms\": ",
                 "{{ \"jobs1\": {:.3}, \"jobs2\": {:.3}, \"jobs4\": {:.3}, \"jobs8\": {:.3} }}, ",
                 "\"speedup_4_threads\": {:.3}, \"speedup_8_threads\": {:.3}, ",
-                "\"verdicts_identical_across_jobs\": true, ",
-                "\"rename_invariance\": {{ ",
-                "\"fp_hits\": {}, \"fp_lookups\": {}, \"fp_derived\": {}, ",
-                "\"fp_compositions\": {}, ",
-                "\"pos_hits\": {}, \"pos_lookups\": {}, \"pos_derived\": {}, ",
-                "\"pos_compositions\": {}, ",
-                "\"baseline_hit_rate\": {:.4}, \"effective_fp_hit_rate\": {:.4} }} }}"
+                "\"verdicts_identical_across_jobs\": true }}"
             ),
-            w.name,
-            wall[0],
-            wall[1],
-            wall[2],
-            wall[3],
-            spd4,
-            spd8,
-            fp.stats.table_hits,
-            fp.stats.table_lookups,
-            fp_derived,
-            fp.stats.compositions,
-            pos.stats.table_hits,
-            pos.stats.table_lookups,
-            pos_derived,
-            pos.stats.compositions,
-            pos.stats.table_hit_rate(),
-            effective,
+            w.name, wall[0], wall[1], wall[2], wall[3], spd4, spd8,
         ));
-        println!(
-            "  rename-invariant keys: {} vs {} sub-proofs derived, {} vs {} compositions, \
-             effective hit rate {:.1}% vs baseline {:.1}%",
-            fp_derived,
-            pos_derived,
-            fp.stats.compositions,
-            pos.stats.compositions,
-            effective * 100.0,
-            pos.stats.table_hit_rate() * 100.0,
-        );
     }
-
-    // Aggregate rename-invariance acceptance: deterministic, so a hard
-    // assert (unlike wall time, which depends on the host's core count).
-    let effective_total = 1.0 - totals.0 as f64 / totals.2.max(1) as f64;
-    let baseline_total = 1.0 - totals.1 as f64 / totals.2.max(1) as f64;
-    assert!(
-        effective_total > baseline_total,
-        "acceptance: rename-invariant keys must absorb a strictly higher share of the \
-         baseline's sub-obligations ({effective_total:.4} vs {baseline_total:.4})"
-    );
 
     // One parallel session: the formerly-dead shared feasibility memo hits.
     let engine = Verifier::builder().jobs(8).build();
@@ -1072,7 +983,7 @@ fn pr4_parallel_checking(out_path: &str, quick: bool) {
         concat!(
             "{{\n",
             "  \"experiment\": \"PR4: intra-query parallel checking (one request sharded ",
-            "across outputs and sub-proofs) + rename-invariant tabling keys\",\n",
+            "across outputs and sub-proofs)\",\n",
             "  \"command\": \"cargo run --release -p arrayeq-bench --bin run_experiments ",
             "-- --exp pr4\",\n",
             "  \"host_parallelism\": {},\n",
@@ -1080,20 +991,12 @@ fn pr4_parallel_checking(out_path: &str, quick: bool) {
             "by the host's core count; the full experiment enforces the >= 2x @ 4 threads ",
             "acceptance assertion on hosts with >= 4 cores (the quick CI smoke asserts >= 1x ",
             "there), and the deterministic acceptance criteria (identical ",
-            "verdicts and stable reports across jobs, higher effective hit rate from ",
-            "rename-invariant keys, shared feasibility-memo hits) are asserted on every ",
-            "host\" }},\n",
+            "verdicts and stable reports across jobs, shared feasibility-memo hits) are ",
+            "asserted on every host\" }},\n",
             "  \"config\": {{ \"quick\": {}, \"repeats\": {}, ",
             "\"timing\": \"best of repeats, ms\" }},\n",
-            "  \"metric_note\": \"effective_fp_hit_rate = 1 - fp_derived / pos_lookups: the ",
-            "share of the positional-key baseline's tabling lookups that the rename-invariant ",
-            "scheme answers from the table, directly or by discharging an ancestor ",
-            "sub-obligation; raw hit rates are not comparable across schemes because a hit ",
-            "near a repeated chain's root removes that chain's lookups entirely\",\n",
             "  \"rows\": [\n{}\n  ],\n",
             "  \"geomean_speedup_4_threads\": {:.3},\n",
-            "  \"aggregate_effective_fp_hit_rate\": {:.4},\n",
-            "  \"aggregate_baseline_hit_rate\": {:.4},\n",
             "  \"parallel_session\": {}\n",
             "}}\n"
         ),
@@ -1103,8 +1006,6 @@ fn pr4_parallel_checking(out_path: &str, quick: bool) {
         repeats,
         rows.join(",\n"),
         geomean4,
-        effective_total,
-        baseline_total,
         arrayeq_engine::session_to_json(&session),
     );
     std::fs::write(out_path, &json).expect("write PR4 snapshot");

@@ -2,7 +2,7 @@
 //!
 //! Workload construction shared by the Criterion benches and the
 //! `run_experiments` binary that regenerate the paper's evaluation
-//! (experiments E1–E12 of `DESIGN.md` / `EXPERIMENTS.md`).
+//! (experiments E1–E12, defined in `src/bin/run_experiments.rs`).
 //!
 //! The heavy lifting lives in the other crates; this one only assembles
 //! (original, transformed) program pairs of controlled size and provides

@@ -1,4 +1,16 @@
 //! The synchronized ADDG traversal (Section 5 of the paper).
+//!
+//! One traversal, one set of reduction rules.  [`Checker::check`] proves an
+//! [`Obligation`] — two traversal positions with their output-current
+//! mappings — in three moves: [`Checker::resolve`] composes through `Access`
+//! nodes (the untabled front of a step), the tables are consulted, and
+//! [`Checker::reduce`] performs one reduction step that returns the child
+//! obligations in depth-first order (per-definition split with its
+//! recurrence assumption, positional operand pairing) or hands the position
+//! to a leaf comparison or the algebraic flatten/match path.  The parallel
+//! schedule ([`crate::parallel`]) splits work by calling the very same
+//! `resolve`/`reduce` and [`Checker::flatten_pieces`], so the sequential run
+//! is simply the schedule that never splits.
 
 use crate::context::{BudgetExhausted, CheckContext, SharedTableKey, TableProvenance};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
@@ -6,13 +18,16 @@ use crate::normalize::{self, TermArena};
 use crate::operators::OperatorProperties;
 use crate::report::{CheckStats, Report, Verdict};
 use crate::{CoreError, Result};
-use arrayeq_addg::{describe_node, extract, fingerprints, Addg, Fingerprints, Node, NodeId};
+use arrayeq_addg::{
+    describe_node, extract, fingerprints, Addg, Fingerprints, Node, NodeId, OperatorKind,
+};
 use arrayeq_lang::ast::Program;
 use arrayeq_lang::classcheck::assert_in_class;
 use arrayeq_lang::defuse::assert_def_use_correct;
 use arrayeq_lang::parser::parse_program;
 use arrayeq_omega::{Relation, Set};
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 
 /// Which variant of the method to run.
@@ -50,18 +65,6 @@ pub struct CheckOptions {
     pub operators: OperatorProperties,
     /// Whether to table (memoise) established sub-equivalences.
     pub tabling: bool,
-    /// Use the legacy string-rendered canonical keys for the tabling cache
-    /// instead of the structural hashes.  Strictly slower — every lookup
-    /// re-renders both relations — and kept only so the perf experiments can
-    /// measure the two keying schemes against each other in the same run.
-    pub string_table_keys: bool,
-    /// Key the tabling cache by per-graph *position ids* (node id / dense
-    /// array id) instead of the default rename-invariant content
-    /// fingerprints.  Position keys never unify structurally identical
-    /// sub-computations that live at different statements, so they hit less
-    /// within one run; kept as the measured baseline for the intra-run
-    /// hit-rate experiments (`--exp pr4`).
-    pub position_table_keys: bool,
     /// Optional focused checking.
     pub focus: Option<Focus>,
     /// Output arrays the caller has *proven* unchanged against a baseline
@@ -108,8 +111,6 @@ impl Default for CheckOptions {
             method: Method::Extended,
             operators: OperatorProperties::default(),
             tabling: true,
-            string_table_keys: false,
-            position_table_keys: false,
             focus: None,
             assume_clean: Vec::new(),
             check_def_use: true,
@@ -133,20 +134,6 @@ impl CheckOptions {
     /// Disables tabling (for the ablation experiment E9).
     pub fn without_tabling(mut self) -> Self {
         self.tabling = false;
-        self
-    }
-
-    /// Switches the tabling cache to the legacy string keys (baseline for
-    /// the keying-scheme perf comparison).
-    pub fn with_string_table_keys(mut self) -> Self {
-        self.string_table_keys = true;
-        self
-    }
-
-    /// Switches the tabling cache to per-graph position-id keys (baseline
-    /// for the rename-invariant-keying hit-rate comparison).
-    pub fn with_position_table_keys(mut self) -> Self {
-        self.position_table_keys = true;
         self
     }
 
@@ -186,11 +173,6 @@ impl CheckOptions {
                 .unwrap_or(1),
             n => n,
         }
-    }
-
-    /// Whether the default rename-invariant fingerprint keys are active.
-    pub(crate) fn fingerprint_table_keys(&self) -> bool {
-        !self.string_table_keys && !self.position_table_keys
     }
 }
 
@@ -313,12 +295,12 @@ pub fn verify_addgs_with(
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
 ) -> Result<Report> {
-    // Fingerprints key the default (rename-invariant) local tabling cache
-    // and every shared-table entry, so they are computed whenever tabling is
-    // on and either of those consumers is active.  Intermediate array names
-    // are folded in only when the options make them verdict-relevant
-    // (focused checking with declared intermediate correspondences);
-    // otherwise repeated idioms behind renamed temporaries share entries.
+    // Fingerprints key the local tabling cache, every shared-table entry
+    // and every baseline lookup, so they are computed whenever tabling is
+    // on.  Intermediate array names are folded in only when the options
+    // make them verdict-relevant (focused checking with declared
+    // intermediate correspondences); otherwise repeated idioms behind
+    // renamed temporaries share entries.
     let fp = if opts
         .focus
         .as_ref()
@@ -328,9 +310,7 @@ pub fn verify_addgs_with(
     } else {
         fingerprints
     };
-    let fps = (opts.tabling
-        && (opts.fingerprint_table_keys() || ctx.shared_table.is_some() || ctx.baseline.is_some()))
-    .then(|| (fp(original), fp(transformed)));
+    let fps = opts.tabling.then(|| (fp(original), fp(transformed)));
     verify_addgs_with_fps(original, transformed, opts, ctx, fps)
 }
 
@@ -346,6 +326,12 @@ pub fn verify_addgs_with(
 /// options select (`fingerprints_named` under a focus with intermediate
 /// pairs, `fingerprints` otherwise); pass `None` to run untabled.
 ///
+/// Every run goes through here: this function owns the per-output prologue
+/// (clean outputs, domain checks, out-of-fragment outputs), hands the root
+/// obligations to the schedule ([`crate::parallel::run`]: the calling
+/// thread at `jobs = 1`, a decomposed worker pool above), and owns the
+/// epilogue (counter harvest, verdict, typed reason, report).
+///
 /// # Errors
 ///
 /// Same as [`verify_addgs`].
@@ -356,68 +342,208 @@ pub fn verify_addgs_with_fps(
     ctx: &CheckContext<'_>,
     fps: Option<(Fingerprints, Fingerprints)>,
 ) -> Result<Report> {
-    if opts.effective_jobs() > 1 {
-        return crate::parallel::verify_addgs_parallel(original, transformed, opts, ctx, fps);
+    let started = Instant::now();
+    // Solver overflow is reported out-of-band through a sticky thread-local
+    // flag; clear any residue from an earlier run on this thread so the
+    // harvest below attributes events to this run only.  The DNF engine's
+    // counters are thread-local and monotonic too: snapshot here, delta at
+    // the end.  Pool workers harvest their own threads.
+    let _ = arrayeq_omega::take_arith_overflow();
+    let overflow_base = arrayeq_omega::arith_overflow_events();
+    let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
+    let fallback_base = arrayeq_omega::bigint_fallback_events();
+    crate::parallel::consume_injected_overflow();
+    let outputs = select_outputs(original, transformed, opts)?;
+    let is_clean = |o: &String| opts.assume_clean.contains(o);
+
+    // Prologue: per output, skip it as baseline-clean, record its domain
+    // mismatch, withhold it as out-of-fragment, or pose its root obligation.
+    let mut verdicts = Verdicts::new(outputs.len());
+    let mut roots = Vec::new();
+    let mut domain_hashes = Vec::new();
+    let mut cone = 0u64;
+    for (i, output) in outputs.iter().enumerate() {
+        // Dirty-cone focus: outputs the caller proved clean against a
+        // baseline are skipped outright.  They stay in `outputs_checked`
+        // and produce no diagnostics — exactly what a from-scratch run in
+        // which they succeed silently looks like.
+        if is_clean(output) {
+            arrayeq_trace::event_with("output_clean", || {
+                vec![arrayeq_trace::s("output", output.clone())]
+            });
+            continue;
+        }
+        cone += 1;
+        let _span = arrayeq_trace::span_with("output", || {
+            vec![arrayeq_trace::s("output", output.clone())]
+        });
+        match check_output_domains(original, transformed, output) {
+            Ok(OutputDomains::Match(ea)) => {
+                let id = Relation::identity_on(&ea);
+                domain_hashes.push((output.clone(), id.structural_hash()));
+                roots.push((i, Obligation::root(output, id)));
+            }
+            Ok(OutputDomains::Mismatch(diag)) => verdicts.record(i, false, vec![*diag]),
+            Err(e) => verdicts.withhold(i, e)?,
+        }
     }
-    let mut checker = Checker::new(original, transformed, opts, ctx, fps, None);
-    checker.run()
+
+    let run = crate::parallel::run(
+        original,
+        transformed,
+        opts,
+        ctx,
+        fps.as_ref(),
+        &outputs,
+        roots,
+        &mut verdicts,
+    )?;
+
+    // Epilogue.  Any solver overflow degraded some feasibility answer to its
+    // conservative direction mid-run; the verdict would then rest on a
+    // weakened constraint system, so it is withheld as inconclusive rather
+    // than risked — never silently wrapped, never panicked.
+    let mut stats = run.stats;
+    let mut overflow_events = run.overflow_events;
+    if arrayeq_omega::take_arith_overflow() {
+        overflow_events += arrayeq_omega::arith_overflow_events() - overflow_base;
+    }
+    stats.conjuncts_subsumed += arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
+    stats.bigint_fallbacks += arrayeq_omega::bigint_fallback_events() - fallback_base;
+    if !opts.assume_clean.is_empty() {
+        stats.cone_positions = cone;
+    }
+    let mut all_ok = true;
+    let mut diagnostics = Vec::new();
+    for (i, output) in outputs.iter().enumerate() {
+        let ok = verdicts.ok[i];
+        if !is_clean(output) {
+            arrayeq_trace::event_with("output_verdict", || {
+                vec![
+                    arrayeq_trace::s("output", output.clone()),
+                    arrayeq_trace::b("ok", ok),
+                ]
+            });
+        }
+        all_ok &= ok;
+        // Stamp each diagnostic with the output whose check produced it, so
+        // downstream consumers (witness engine, reports) know which index
+        // space a failing domain lives in.
+        for mut d in std::mem::take(&mut verdicts.diagnostics[i]) {
+            d.output_array.get_or_insert_with(|| output.clone());
+            diagnostics.push(d);
+        }
+    }
+    // Budget trips first, then the out-of-fragment reason, a poisoned task
+    // and overflow; any of them withholds the verdict.
+    let budget_exhausted = run
+        .budget
+        .or(verdicts.unsupported)
+        .or(run
+            .panic
+            .map(|message| BudgetExhausted::WorkerPanicked { message }))
+        .or(
+            (overflow_events > 0).then_some(BudgetExhausted::ArithOverflow {
+                events: overflow_events,
+            }),
+        );
+    let verdict = if budget_exhausted.is_some() {
+        Verdict::Inconclusive
+    } else if all_ok {
+        Verdict::Equivalent
+    } else {
+        Verdict::NotEquivalent
+    };
+    stats.check_time_us = started.elapsed().as_micros() as u64;
+    let output_fingerprints = match &fps {
+        Some((fa, fb)) => outputs
+            .iter()
+            .map(|o| (o.clone(), fa.array(o), fb.array(o)))
+            .collect(),
+        None => Vec::new(),
+    };
+    Ok(Report {
+        verdict,
+        diagnostics,
+        witnesses: Vec::new(),
+        stats,
+        outputs_checked: outputs,
+        output_fingerprints,
+        output_domain_hashes: domain_hashes,
+        budget_exhausted,
+    })
 }
 
-/// Key of the tabling cache: the two traversal positions plus the two
-/// output-current mappings.
-///
-/// The default `Fp` form is *rename-invariant*: positions are identified by
-/// their content fingerprints ([`arrayeq_addg::fingerprints`]) and mappings
-/// by their rename-canonical [`Relation::structural_hash`], so structurally
-/// identical sub-proofs — same computation at a different statement, same
-/// mapping written over differently-ordered iterators — share one entry.
-/// `Positional` identifies positions by per-graph ids instead (node id /
-/// dense array id; [`CheckOptions::position_table_keys`]), the pre-PR4
-/// baseline for the intra-run hit-rate comparison.  `Text` is the legacy
-/// string scheme ([`CheckOptions::string_table_keys`]), rebuilt on every
-/// lookup, kept as the measured keying-cost baseline.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum TableKey {
-    Fp(u64, u64, u64, u64),
-    Positional(usize, usize, u64, u64),
-    Text(usize, usize, String, String),
+/// Per-output verdicts and diagnostics of one run, indexed like the
+/// checked-outputs list: the prologue records domain mismatches and
+/// out-of-fragment outputs, the schedule's merge records every obligation
+/// in depth-first order.
+pub(crate) struct Verdicts {
+    ok: Vec<bool>,
+    diagnostics: Vec<Vec<Diagnostic>>,
+    /// The first out-of-fragment obligation, if any.
+    unsupported: Option<BudgetExhausted>,
+}
+
+impl Verdicts {
+    fn new(outputs: usize) -> Self {
+        Verdicts {
+            ok: vec![true; outputs],
+            diagnostics: (0..outputs).map(|_| Vec::new()).collect(),
+            unsupported: None,
+        }
+    }
+
+    /// Records one obligation of `output`: its verdict and diagnostics.
+    pub(crate) fn record(&mut self, output: usize, ok: bool, diagnostics: Vec<Diagnostic>) {
+        self.ok[output] &= ok;
+        self.diagnostics[output].extend(diagnostics);
+    }
+
+    /// Records a failed obligation of `output`.  An error meaning the solver
+    /// *cannot answer* (see [`unsupported_fragment`]) withholds that
+    /// output's verdict — the run ends inconclusive with a typed reason
+    /// while every other output's check still runs; any other error is
+    /// returned.
+    pub(crate) fn withhold(&mut self, output: usize, e: CoreError) -> Result<()> {
+        let reason = unsupported_fragment(&e).ok_or(e)?;
+        self.ok[output] = false;
+        self.unsupported.get_or_insert(reason);
+        Ok(())
+    }
 }
 
 /// The traversal state.
 ///
-/// One `Checker` is either the whole sequential run (`jobs = 1`) or one
-/// *worker* of a parallel run, in which case it executes a stream of
-/// [`crate::parallel`] tasks against its own local state (table, coinductive
-/// assumptions, stats, diagnostics buffer) while budgets are accounted
-/// through the run-wide [`SharedBudget`].
+/// One `Checker` runs the obligations of one schedule lane: the calling
+/// thread at `jobs = 1`, one pool worker above, or the coordinator that
+/// decomposes obligations for the pool.  It owns the local state (table,
+/// coinductive assumptions, stats, diagnostics buffer) while a parallel
+/// run's budgets are accounted through the run-wide [`SharedBudget`].
 pub(crate) struct Checker<'x> {
     pub(crate) a: &'x Addg,
     pub(crate) b: &'x Addg,
     pub(crate) opts: &'x CheckOptions,
     /// Budgets and cross-query sharing (default context on the one-shot path).
     ctx: &'x CheckContext<'x>,
-    /// Content fingerprints of both graphs; they key the default local
-    /// tabling cache, the cross-query shared entries and the term arena's
-    /// interning keys.
-    pub(crate) fps: Option<(Fingerprints, Fingerprints)>,
+    /// Content fingerprints of both graphs; they key the local tabling
+    /// cache, the cross-query shared entries and the term arena's interning
+    /// keys.
+    pub(crate) fps: Option<&'x (Fingerprints, Fingerprints)>,
     pub(crate) stats: CheckStats,
     pub(crate) diagnostics: Vec<Diagnostic>,
     /// Hash-consed flattened terms plus the matched-pair memo (the
     /// normalization subsystem's state; see [`crate::normalize`]).
     pub(crate) arena: TermArena,
-    /// Tabling cache: established equivalences of sub-ADDG pairs.
-    table: HashMap<TableKey, bool>,
-    /// Dense integer ids for array positions of each graph, so array/array
-    /// and mixed pairs can be tabled without string keys (node positions use
-    /// their `NodeId` directly; see [`Checker::pos_id`]).
-    array_ids_a: HashMap<String, usize>,
-    array_ids_b: HashMap<String, usize>,
+    /// Tabling cache: established equivalences of sub-ADDG pairs, keyed
+    /// like the cross-query tiers.
+    table: HashSet<SharedTableKey>,
     /// Hash-collision paranoia (debug builds only): the canonical renderings
-    /// of the relations behind every `Hashed` table entry.  A lookup whose
-    /// hashes match but whose canonical keys differ is a real 64-bit
-    /// collision and is counted in [`CheckStats::hash_collisions`].
+    /// of the relations behind every table entry.  A lookup whose hashes
+    /// match but whose canonical keys differ is a real 64-bit collision and
+    /// is counted in [`CheckStats::hash_collisions`].
     #[cfg(debug_assertions)]
-    table_shadow: HashMap<TableKey, (String, String)>,
+    table_shadow: std::collections::HashMap<SharedTableKey, (String, String)>,
     /// Coinduction for recurrences: array pairs currently being proven, with
     /// the element-pair relation assumed equal.
     in_progress: BTreeMap<(String, String), Relation>,
@@ -428,14 +554,14 @@ pub(crate) struct Checker<'x> {
     pub(crate) assumption_uses: u64,
     work: u64,
     pub(crate) exhausted: bool,
-    /// Which budget fired when `exhausted` was set.
+    /// Which budget fired when `exhausted` was set (local budget only).
     budget_reason: Option<BudgetExhausted>,
     /// Start of the traversal, for deadline bookkeeping.
     started: Instant,
-    /// Run-wide budget shared by every worker of a parallel run (`None` in
-    /// the sequential path).  Workers batch their local visit counts into
+    /// Run-wide budget shared by every lane of a parallel run (`None` on the
+    /// sequential schedule).  Lanes batch their local visit counts into
     /// `work` and flush them here every 64 visits, at which point they also
-    /// observe cancellations and limit trips from other workers.
+    /// observe cancellations and limit trips from other lanes.
     shared_budget: Option<&'x SharedBudget>,
     /// Visits already flushed to the shared budget.
     flushed_work: u64,
@@ -453,7 +579,7 @@ pub(crate) struct SharedBudget {
     work: std::sync::atomic::AtomicU64,
     exhausted: std::sync::atomic::AtomicBool,
     reason: std::sync::Mutex<Option<BudgetExhausted>>,
-    /// Solver overflow events observed by any thread of the run.  Overflow
+    /// Solver overflow events observed by any worker of the run.  Overflow
     /// does not wind the pool down (unlike a budget trip, the remaining
     /// obligations still produce their diagnostics); it only withholds the
     /// final verdict as inconclusive.
@@ -477,11 +603,6 @@ impl SharedBudget {
         self.exhausted.store(true, Ordering::Relaxed);
     }
 
-    /// Whether any worker tripped a budget.
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.exhausted.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     /// The reason of the first trip, if any.
     pub(crate) fn take_reason(&self) -> Option<BudgetExhausted> {
         self.reason
@@ -496,7 +617,7 @@ impl SharedBudget {
             .fetch_add(events, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Solver overflow events observed across every thread of the run.
+    /// Solver overflow events observed across the workers of the run.
     pub(crate) fn overflow_events(&self) -> u64 {
         self.overflow_events
             .load(std::sync::atomic::Ordering::Relaxed)
@@ -513,15 +634,137 @@ pub(crate) enum Pos {
     Node(NodeId),
 }
 
+/// A coinductive recurrence assumption: an array pair being proven, with
+/// the element pairs assumed equal while its definitions are checked.
+pub(crate) type Assumption = ((String, String), Relation);
+
+/// One obligation of the synchronized traversal: the sub-computations at
+/// `pos_a` / `pos_b` agree for every output element in the (common) domain
+/// of `map_a` / `map_b`.  The statement trails that led here (for
+/// diagnostics) borrow the parent's until a step extends them.
+#[derive(Debug)]
+pub(crate) struct Obligation<'t> {
+    pub(crate) pos_a: Pos,
+    pub(crate) map_a: Relation,
+    pub(crate) pos_b: Pos,
+    pub(crate) map_b: Relation,
+    pub(crate) trail_a: Cow<'t, [String]>,
+    pub(crate) trail_b: Cow<'t, [String]>,
+}
+
+impl Obligation<'_> {
+    /// The root obligation of one output: its array on both sides, under
+    /// the identity on its defined elements.
+    fn root(output: &str, identity: Relation) -> Obligation<'static> {
+        Obligation {
+            pos_a: Pos::Array(output.to_owned()),
+            map_a: identity.clone(),
+            pos_b: Pos::Array(output.to_owned()),
+            map_b: identity,
+            trail_a: Cow::Owned(Vec::new()),
+            trail_b: Cow::Owned(Vec::new()),
+        }
+    }
+
+    /// A copy that borrows this obligation's trails.
+    pub(crate) fn reborrow(&self) -> Obligation<'_> {
+        Obligation {
+            pos_a: self.pos_a.clone(),
+            map_a: self.map_a.clone(),
+            pos_b: self.pos_b.clone(),
+            map_b: self.map_b.clone(),
+            trail_a: Cow::Borrowed(&self.trail_a),
+            trail_b: Cow::Borrowed(&self.trail_b),
+        }
+    }
+
+    /// The same obligation with trails of its own (to outlive its parent).
+    pub(crate) fn into_owned(self) -> Obligation<'static> {
+        Obligation {
+            pos_a: self.pos_a,
+            map_a: self.map_a,
+            pos_b: self.pos_b,
+            map_b: self.map_b,
+            trail_a: Cow::Owned(self.trail_a.into_owned()),
+            trail_b: Cow::Owned(self.trail_b.into_owned()),
+        }
+    }
+
+    /// The two array names when both positions are arrays.
+    pub(crate) fn array_pair(&self) -> Option<(&str, &str)> {
+        match (&self.pos_a, &self.pos_b) {
+            (Pos::Array(va), Pos::Array(vb)) => Some((va, vb)),
+            _ => None,
+        }
+    }
+
+    /// This obligation entered at an operator chain: each trail extended by
+    /// the statement of its side's chain root, when it has one.
+    fn enter(&self, stmt_a: Option<&str>, stmt_b: Option<&str>) -> Obligation<'_> {
+        fn extend<'a>(trail: &'a [String], stmt: Option<&str>) -> Cow<'a, [String]> {
+            match stmt {
+                Some(s) => Cow::Owned(with_stmt(trail, s)),
+                None => Cow::Borrowed(trail),
+            }
+        }
+        Obligation {
+            pos_a: self.pos_a.clone(),
+            map_a: self.map_a.clone(),
+            pos_b: self.pos_b.clone(),
+            map_b: self.map_b.clone(),
+            trail_a: extend(&self.trail_a, stmt_a),
+            trail_b: extend(&self.trail_b, stmt_b),
+        }
+    }
+}
+
+/// The untabled front of a traversal step ([`Checker::resolve`]).
+pub(crate) enum Resolved<'t> {
+    /// An `Access` node was composed through; the traversal continues at
+    /// this obligation.
+    Composed(Obligation<'t>),
+    /// A declared intermediate correspondence (focused checking): compared
+    /// like a pair of input leaves and never tabled.
+    Focus(Obligation<'t>),
+    /// A tabling point: consult the tables, then [`Checker::reduce`].
+    Open(Obligation<'t>),
+}
+
+/// One reduction step of the traversal ([`Checker::reduce`]).
+pub(crate) enum Reduction<'o> {
+    /// An intermediate (or output) array reduced definition by definition:
+    /// `(statement, child)` per definition the mapping reaches, in order,
+    /// with the recurrence assumption installed around them.
+    Definitions {
+        array: &'o str,
+        children: Vec<(&'o str, Obligation<'o>)>,
+        assume: Option<Assumption>,
+    },
+    /// Two operators of the same kind and arity: operands paired by position.
+    Operands(Vec<Obligation<'o>>),
+    /// An algebraic chain: flatten both sides into `family` and match.
+    Algebraic {
+        family: OperatorKind,
+        chain: Obligation<'o>,
+    },
+    /// Both sides reached input arrays: compare the output-input mappings.
+    Paths,
+    /// Settled without further work (equal constants, a coinductive
+    /// recurrence assumption).
+    Holds,
+    /// Refuted structurally, with the diagnostic saying why.
+    Refuted(Box<Diagnostic>),
+}
+
 impl<'x> Checker<'x> {
-    /// A fresh traversal state (the sequential run, or one worker of a
+    /// A fresh traversal state (the sequential run, or one lane of a
     /// parallel run when `shared_budget` is present).
     pub(crate) fn new(
         a: &'x Addg,
         b: &'x Addg,
         opts: &'x CheckOptions,
         ctx: &'x CheckContext<'x>,
-        fps: Option<(Fingerprints, Fingerprints)>,
+        fps: Option<&'x (Fingerprints, Fingerprints)>,
         shared_budget: Option<&'x SharedBudget>,
     ) -> Self {
         Checker {
@@ -533,11 +776,9 @@ impl<'x> Checker<'x> {
             stats: CheckStats::default(),
             diagnostics: Vec::new(),
             arena: TermArena::default(),
-            table: HashMap::new(),
-            array_ids_a: HashMap::new(),
-            array_ids_b: HashMap::new(),
+            table: HashSet::new(),
             #[cfg(debug_assertions)]
-            table_shadow: HashMap::new(),
+            table_shadow: std::collections::HashMap::new(),
             in_progress: BTreeMap::new(),
             assumption_uses: 0,
             work: 0,
@@ -549,65 +790,33 @@ impl<'x> Checker<'x> {
         }
     }
 
-    /// Runs one decomposed sub-obligation as a parallel worker: the
-    /// coinductive assumptions accumulated along the task's decomposition
-    /// path are installed worker-locally (so the no-tabling-under-assumption
-    /// guard keeps working unchanged), the traversal runs, and the
-    /// diagnostics the task produced are drained out for deterministic
-    /// merging by the coordinator.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one scheduled task: installs the recurrence assumptions the
+    /// traversal had in place at the task's position (so the
+    /// no-tabling-under-assumption guard keeps working unchanged), runs
+    /// `body`, and drains the diagnostics it produced for the merge.
     pub(crate) fn run_task(
         &mut self,
-        pos_a: Pos,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-        assumptions: &[((String, String), Relation)],
+        assumptions: &[Assumption],
+        body: impl FnOnce(&mut Self) -> Result<bool>,
     ) -> Result<(bool, Vec<Diagnostic>)> {
         self.in_progress.clear();
-        for (key, pairs) in assumptions {
-            self.in_progress.insert(key.clone(), pairs.clone());
-        }
-        let ok = self.check(pos_a, map_a, pos_b, map_b, trail_a, trail_b)?;
-        Ok((ok, std::mem::take(&mut self.diagnostics)))
+        self.in_progress.extend(assumptions.iter().cloned());
+        let ok = body(self);
+        let diagnostics = std::mem::take(&mut self.diagnostics);
+        Ok((ok?, diagnostics))
     }
 
-    /// Runs one decomposed per-piece algebraic match as a parallel worker:
-    /// the coordinator already flattened both sides and restricted the term
-    /// lists to the piece ([`crate::parallel`]); this installs the task's
-    /// coinductive assumptions and runs the matcher, which is byte-for-byte
-    /// the loop body the sequential `check_algebraic` executes per piece.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_match_task(
-        &mut self,
-        family: &arrayeq_addg::OperatorKind,
-        live_a: &[crate::normalize::FlatTerm],
-        live_b: &[crate::normalize::FlatTerm],
-        piece: &Set,
-        trail_a: &[String],
-        trail_b: &[String],
-        assumptions: &[((String, String), Relation)],
-    ) -> Result<(bool, Vec<Diagnostic>)> {
-        self.in_progress.clear();
-        for (key, pairs) in assumptions {
-            self.in_progress.insert(key.clone(), pairs.clone());
-        }
-        let ok = self.match_restricted(family, live_a, live_b, piece, trail_a, trail_b)?;
-        Ok((ok, std::mem::take(&mut self.diagnostics)))
-    }
-
-    /// The worker's accumulated counters (merged by the coordinator).
-    pub(crate) fn into_stats(self) -> CheckStats {
-        self.stats
+    /// The lane's accumulated counters and, for a local budget, which
+    /// budget fired.
+    pub(crate) fn finish(self) -> (CheckStats, Option<BudgetExhausted>) {
+        (self.stats, self.budget_reason)
     }
 }
 
 /// The outputs one run must check: the focused subset when a focus names
 /// outputs, otherwise all common outputs (with extra outputs on the
 /// transformed side rejected as incomparable).
-pub(crate) fn select_outputs(a: &Addg, b: &Addg, opts: &CheckOptions) -> Result<Vec<String>> {
+fn select_outputs(a: &Addg, b: &Addg, opts: &CheckOptions) -> Result<Vec<String>> {
     let wanted: Vec<String> = match opts.focus.as_ref().filter(|f| !f.outputs.is_empty()) {
         Some(f) => f.outputs.clone(),
         None => a.output_arrays().to_vec(),
@@ -643,7 +852,7 @@ pub(crate) fn select_outputs(a: &Addg, b: &Addg, opts: &CheckOptions) -> Result<
 
 /// Result of the per-output defined-elements comparison that precedes the
 /// traversal of one output.
-pub(crate) enum OutputDomains {
+enum OutputDomains {
     /// Both programs define the same elements; the traversal starts from the
     /// identity relation on this set.
     Match(Set),
@@ -654,7 +863,7 @@ pub(crate) enum OutputDomains {
 
 /// Compares the defined-element sets of `output` in both graphs (the first
 /// half of the per-output obligation).
-pub(crate) fn check_output_domains(a: &Addg, b: &Addg, output: &str) -> Result<OutputDomains> {
+fn check_output_domains(a: &Addg, b: &Addg, output: &str) -> Result<OutputDomains> {
     let ea = a
         .defined_elements(output)
         .ok_or_else(|| CoreError::Incomparable {
@@ -675,7 +884,7 @@ pub(crate) fn check_output_domains(a: &Addg, b: &Addg, output: &str) -> Result<O
     let failing = ea.subtract(&eb)?.union(&eb.subtract(&ea)?)?.minimized();
     Ok(OutputDomains::Mismatch(Box::new(Diagnostic {
         kind: DiagnosticKind::OutputDomainMismatch,
-        output_array: None, // stamped by the caller
+        output_array: None, // stamped with its output after the run
         original_statements: a
             .definitions(output)
             .iter()
@@ -699,9 +908,9 @@ pub(crate) fn check_output_domains(a: &Addg, b: &Addg, output: &str) -> Result<O
 /// fragment (inexact existential elimination, out-of-fragment closure).
 /// Such an error is a property of the input's constraint systems — huge
 /// coefficients the big-int fallback let through the front end — not a
-/// malformed query, so callers downgrade the affected output to a typed
-/// inconclusive instead of failing the whole pipeline.
-pub(crate) fn unsupported_fragment(e: &CoreError) -> Option<BudgetExhausted> {
+/// malformed query, so [`verify_addgs_with_fps`] downgrades the affected
+/// output to a typed inconclusive instead of failing the whole pipeline.
+fn unsupported_fragment(e: &CoreError) -> Option<BudgetExhausted> {
     match e {
         CoreError::Omega(arrayeq_omega::OmegaError::InexactElimination { op }) => {
             Some(BudgetExhausted::UnsupportedFragment { op })
@@ -712,23 +921,6 @@ pub(crate) fn unsupported_fragment(e: &CoreError) -> Option<BudgetExhausted> {
             })
         }
         _ => None,
-    }
-}
-
-/// Per-output content fingerprints for the report: `(name, original-side,
-/// transformed-side)` in output order; empty when the run computed no
-/// fingerprints.  Shared by the sequential and the parallel path so the
-/// member is identical at every jobs setting.
-pub(crate) fn output_fingerprints(
-    outputs: &[String],
-    fps: Option<&(Fingerprints, Fingerprints)>,
-) -> Vec<(String, u64, u64)> {
-    match fps {
-        Some((fa, fb)) => outputs
-            .iter()
-            .map(|o| (o.clone(), fa.array(o), fb.array(o)))
-            .collect(),
-        None => Vec::new(),
     }
 }
 
@@ -757,158 +949,7 @@ pub fn output_root_key(
     Some((fps.0.array(output), fps.1.array(output), h, h))
 }
 
-impl Checker<'_> {
-    fn run(&mut self) -> Result<Report> {
-        // Solver overflow is reported out-of-band through a sticky
-        // thread-local flag; clear any residue from an earlier run on this
-        // thread so the poll below attributes events to this run only.
-        let _ = arrayeq_omega::take_arith_overflow();
-        let overflow_base = arrayeq_omega::arith_overflow_events();
-        // The DNF engine's counters are thread-local and monotonic, like the
-        // overflow event counter: snapshot here, delta at the end.
-        let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
-        let fallback_base = arrayeq_omega::bigint_fallback_events();
-        crate::parallel::consume_injected_overflow();
-        let outputs = select_outputs(self.a, self.b, self.opts)?;
-        let mut all_ok = true;
-        let mut cone = 0u64;
-        let mut domain_hashes: Vec<(String, u64)> = Vec::new();
-        for output in &outputs {
-            // Dirty-cone focus: outputs the caller proved clean against a
-            // baseline are skipped outright.  They stay in
-            // `outputs_checked` and produce no diagnostics — exactly what a
-            // from-scratch run in which they succeed silently looks like.
-            if self.opts.assume_clean.iter().any(|o| o == output) {
-                arrayeq_trace::event_with("output_clean", || {
-                    vec![arrayeq_trace::s("output", output.clone())]
-                });
-                continue;
-            }
-            cone += 1;
-            let span = arrayeq_trace::span_with("output", || {
-                vec![arrayeq_trace::s("output", output.clone())]
-            });
-            let diag_start = self.diagnostics.len();
-            let domains = match check_output_domains(self.a, self.b, output) {
-                Ok(d) => d,
-                Err(e) => {
-                    if let Some(reason) = unsupported_fragment(&e) {
-                        self.note_unsupported(reason, output);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            };
-            let ea = match domains {
-                OutputDomains::Match(ea) => ea,
-                OutputDomains::Mismatch(diag) => {
-                    self.diagnostics.push(*diag);
-                    self.stamp_output(diag_start, output);
-                    all_ok = false;
-                    arrayeq_trace::event_with("output_verdict", || {
-                        vec![
-                            arrayeq_trace::s("output", output.clone()),
-                            arrayeq_trace::b("ok", false),
-                        ]
-                    });
-                    continue;
-                }
-            };
-            let id = Relation::identity_on(&ea);
-            domain_hashes.push((output.clone(), id.structural_hash()));
-            let ok = match self.check(
-                Pos::Array(output.clone()),
-                id.clone(),
-                Pos::Array(output.clone()),
-                id,
-                &[],
-                &[],
-            ) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    if let Some(reason) = unsupported_fragment(&e) {
-                        self.stamp_output(diag_start, output);
-                        self.note_unsupported(reason, output);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            };
-            self.stamp_output(diag_start, output);
-            all_ok &= ok;
-            arrayeq_trace::event_with("output_verdict", || {
-                vec![
-                    arrayeq_trace::s("output", output.clone()),
-                    arrayeq_trace::b("ok", ok),
-                ]
-            });
-            drop(span);
-        }
-        // Any solver overflow degraded some feasibility answer to its
-        // conservative direction mid-run; the verdict would then rest on a
-        // weakened constraint system, so it is withheld as inconclusive
-        // rather than risked — never silently wrapped, never panicked.
-        if arrayeq_omega::take_arith_overflow() {
-            self.exhausted = true;
-            if self.budget_reason.is_none() {
-                self.budget_reason = Some(BudgetExhausted::ArithOverflow {
-                    events: arrayeq_omega::arith_overflow_events() - overflow_base,
-                });
-            }
-        }
-        let verdict = if self.exhausted {
-            Verdict::Inconclusive
-        } else if all_ok {
-            Verdict::Equivalent
-        } else {
-            Verdict::NotEquivalent
-        };
-        if !self.opts.assume_clean.is_empty() {
-            self.stats.cone_positions = cone;
-        }
-        self.stats.conjuncts_subsumed += arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
-        self.stats.bigint_fallbacks += arrayeq_omega::bigint_fallback_events() - fallback_base;
-        self.stats.check_time_us = self.started.elapsed().as_micros() as u64;
-        let output_fingerprints = output_fingerprints(&outputs, self.fps.as_ref());
-        Ok(Report {
-            verdict,
-            diagnostics: std::mem::take(&mut self.diagnostics),
-            witnesses: Vec::new(),
-            stats: self.stats,
-            outputs_checked: outputs,
-            output_fingerprints,
-            output_domain_hashes: domain_hashes,
-            budget_exhausted: self.budget_reason.take(),
-        })
-    }
-
-    /// Records an out-of-fragment obligation: this output's verdict is
-    /// withheld (the run ends inconclusive with a typed reason) while every
-    /// other output's check still runs.
-    fn note_unsupported(&mut self, reason: BudgetExhausted, output: &str) {
-        self.exhausted = true;
-        if self.budget_reason.is_none() {
-            self.budget_reason = Some(reason);
-        }
-        arrayeq_trace::event_with("output_verdict", || {
-            vec![
-                arrayeq_trace::s("output", output.to_owned()),
-                arrayeq_trace::b("ok", false),
-            ]
-        });
-    }
-
-    /// Stamps every diagnostic produced since `start` with the output array
-    /// whose check produced it, so downstream consumers (witness engine,
-    /// reports) know which index space a failing domain lives in.
-    fn stamp_output(&mut self, start: usize, output: &str) {
-        for d in &mut self.diagnostics[start..] {
-            if d.output_array.is_none() {
-                d.output_array = Some(output.to_owned());
-            }
-        }
-    }
-
+impl<'x> Checker<'x> {
     pub(crate) fn budget(&mut self) -> bool {
         if self.exhausted {
             return false;
@@ -946,10 +987,10 @@ impl Checker<'_> {
         true
     }
 
-    /// Budget bookkeeping for a parallel worker: local visit counts are
+    /// Budget bookkeeping for a parallel lane: local visit counts are
     /// flushed into the run-wide [`SharedBudget`] every 64 visits (and on
-    /// the very first), at which point the worker observes trips from other
-    /// workers, checks the combined work limit, and polls
+    /// the very first), at which point the lane observes trips from other
+    /// lanes, checks the combined work limit, and polls
     /// cancellation/deadline exactly like the sequential path.
     fn budget_shared(&mut self, shared: &SharedBudget) -> bool {
         use std::sync::atomic::Ordering;
@@ -995,98 +1036,20 @@ impl Checker<'_> {
         true
     }
 
-    /// The core synchronized traversal: checks that the sub-computations at
-    /// `pos_a` / `pos_b` agree for every output element in the (common)
-    /// domain of `map_a` / `map_b`.
-    pub(crate) fn check(
-        &mut self,
-        pos_a: Pos,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) -> Result<bool> {
+    /// The core synchronized traversal: proves `ob` by resolving accesses,
+    /// consulting the tables, and recursing over the reduction's children.
+    pub(crate) fn check(&mut self, ob: Obligation<'_>) -> Result<bool> {
         if !self.budget() {
             return Ok(false);
         }
-        if map_a.is_empty() {
+        if ob.map_a.is_empty() {
             return Ok(true); // nothing left to account for on this branch
         }
-
-        // Resolve Access nodes: compose the output-current mapping with the
-        // dependency mapping (the paper's intermediate variable reduction
-        // happens when the resulting array is then looked through below).
-        if let Pos::Node(n) = &pos_a {
-            if let Node::Access {
-                array,
-                mapping,
-                statement,
-                ..
-            } = self.a.node(*n)
-            {
-                self.stats.compositions += 1;
-                let new_map = {
-                    let _span = arrayeq_trace::span("compose");
-                    let t0 = arrayeq_trace::metrics_timer();
-                    let m = map_a.compose(mapping)?.simplified(true);
-                    arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                    m
-                };
-                let mut trail = trail_a.to_vec();
-                trail.push(statement.clone());
-                return self.check(
-                    Pos::Array(array.clone()),
-                    new_map,
-                    pos_b,
-                    map_b,
-                    &trail,
-                    trail_b,
-                );
-            }
-        }
-        if let Pos::Node(n) = &pos_b {
-            if let Node::Access {
-                array,
-                mapping,
-                statement,
-                ..
-            } = self.b.node(*n)
-            {
-                self.stats.compositions += 1;
-                let new_map = {
-                    let _span = arrayeq_trace::span("compose");
-                    let t0 = arrayeq_trace::metrics_timer();
-                    let m = map_b.compose(mapping)?.simplified(true);
-                    arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                    m
-                };
-                let mut trail = trail_b.to_vec();
-                trail.push(statement.clone());
-                return self.check(
-                    pos_a,
-                    map_a,
-                    Pos::Array(array.clone()),
-                    new_map,
-                    trail_a,
-                    &trail,
-                );
-            }
-        }
-
-        // Focused checking: declared intermediate correspondences terminate
-        // the traversal early.
-        if let (Pos::Array(va), Pos::Array(vb)) = (&pos_a, &pos_b) {
-            if let Some(focus) = &self.opts.focus {
-                if focus
-                    .intermediate_pairs
-                    .iter()
-                    .any(|(x, y)| x == va && y == vb)
-                {
-                    return self.compare_leaf_mappings(va, vb, &map_a, &map_b, trail_a, trail_b);
-                }
-            }
-        }
+        let ob = match self.resolve(ob)? {
+            Resolved::Composed(child) => return self.check(child),
+            Resolved::Focus(ob) => return self.compare_leaf_mappings(&ob),
+            Resolved::Open(ob) => ob,
+        };
 
         // Baseline consult (incremental re-verification): proven entries
         // carried over from an earlier run discharge the sub-traversal
@@ -1095,187 +1058,146 @@ impl Checker<'_> {
         // which the publish guard below feeds), so a hit returns exactly
         // what the traversal would re-derive and failures always re-derive
         // their diagnostics in full.
-        let shared_key = self.shared_key(&pos_a, &pos_b, &map_a, &map_b);
-        if let (Some(k), Some(baseline)) = (shared_key.as_ref(), self.ctx.baseline) {
-            if baseline.contains(k) {
+        let key = self.table_key(&ob);
+        if let Some(k) = &key {
+            if self.ctx.baseline.is_some_and(|b| b.contains(k)) {
                 self.stats.baseline_hits += 1;
                 arrayeq_trace::discharge("baseline");
                 return Ok(true);
             }
-        }
-
-        // Tabling.
-        let table_key = self.table_key(&pos_a, &pos_b, &map_a, &map_b);
-        if self.opts.tabling {
-            if let Some(k) = table_key.as_ref() {
-                self.stats.table_lookups += 1;
-                if let Some(&cached) = self.table.get(k) {
-                    self.stats.table_hits += 1;
-                    arrayeq_trace::discharge("local_table");
-                    #[cfg(debug_assertions)]
-                    self.check_for_hash_collision(k, &map_a, &map_b);
-                    return Ok(cached);
-                }
-            }
-        }
-
-        // Cross-query shared table (engine sessions only): consulted after a
-        // local miss, keyed by content fingerprints so an entry published by
-        // any earlier query — same pair re-checked after an edit, or a
-        // perturbed variant sharing this sub-computation — discharges the
-        // whole sub-traversal here.
-        if let (Some(k), Some(shared)) = (shared_key.as_ref(), self.ctx.shared_table) {
-            self.stats.shared_table_lookups += 1;
-            if let Some((true, provenance)) = shared.get_with_provenance(k) {
-                self.stats.shared_table_hits += 1;
-                if provenance == TableProvenance::Store {
-                    self.stats.store_hits += 1;
-                    arrayeq_trace::discharge("store");
-                } else {
-                    arrayeq_trace::discharge("shared_table");
-                }
+            self.stats.table_lookups += 1;
+            if self.table.contains(k) {
+                self.stats.table_hits += 1;
+                arrayeq_trace::discharge("local_table");
+                #[cfg(debug_assertions)]
+                self.check_for_hash_collision(k, &ob);
                 return Ok(true);
+            }
+            // Cross-query shared table (engine sessions only): consulted
+            // after a local miss, so an entry published by any earlier query
+            // — same pair re-checked after an edit, or a perturbed variant
+            // sharing this sub-computation — discharges the whole
+            // sub-traversal here.
+            if let Some(shared) = self.ctx.shared_table {
+                self.stats.shared_table_lookups += 1;
+                if let Some((true, provenance)) = shared.get_with_provenance(k) {
+                    self.stats.shared_table_hits += 1;
+                    if provenance == TableProvenance::Store {
+                        self.stats.store_hits += 1;
+                        arrayeq_trace::discharge("store");
+                    } else {
+                        arrayeq_trace::discharge("shared_table");
+                    }
+                    return Ok(true);
+                }
             }
         }
 
         #[cfg(debug_assertions)]
-        let shadow_val = match &table_key {
-            Some(TableKey::Fp(..)) | Some(TableKey::Positional(..)) => {
-                Some((map_a.canonical_key(), map_b.canonical_key()))
-            }
-            _ => None,
-        };
-
+        let shadow = key
+            .is_some()
+            .then(|| (ob.map_a.canonical_key(), ob.map_b.canonical_key()));
         let assumption_uses_before = self.assumption_uses;
-        let result = self.check_uncached(&pos_a, map_a, &pos_b, map_b, trail_a, trail_b)?;
+        let result = self.check_reduced(&ob)?;
 
-        if self.opts.tabling {
-            if let Some(k) = table_key {
-                // Only successful sub-proofs are reused; failures keep their
-                // diagnostics specific to the path that found them.  A proof
-                // that leaned on a coinductive recurrence assumption is only
-                // valid under that assumption and must not be replayed
-                // outside it, so it is not inserted either.
-                if result && self.assumption_uses == assumption_uses_before {
-                    #[cfg(debug_assertions)]
-                    if let Some(v) = shadow_val {
-                        self.table_shadow.insert(k.clone(), v);
-                    }
-                    self.table.insert(k, true);
-                    self.stats.table_entries += 1;
-                    // Publish assumption-free sub-proofs for later queries.
-                    if let (Some(sk), Some(shared)) = (shared_key, self.ctx.shared_table) {
-                        shared.put(sk, true);
-                        self.stats.shared_table_inserts += 1;
-                    }
+        // Only successful sub-proofs are reused; failures keep their
+        // diagnostics specific to the path that found them.  A proof that
+        // leaned on a coinductive recurrence assumption is only valid under
+        // that assumption and must not be replayed outside it, so it is not
+        // inserted either.
+        if let Some(k) = key {
+            if result && self.assumption_uses == assumption_uses_before {
+                #[cfg(debug_assertions)]
+                if let Some(v) = shadow {
+                    self.table_shadow.insert(k, v);
+                }
+                self.table.insert(k);
+                self.stats.table_entries += 1;
+                // Publish assumption-free sub-proofs for later queries.
+                if let Some(shared) = self.ctx.shared_table {
+                    shared.put(k, true);
+                    self.stats.shared_table_inserts += 1;
                 }
             }
         }
         Ok(result)
     }
 
-    /// Builds the cross-query tabling key for a position pair: the content
-    /// fingerprints of both positions plus the structural hashes of both
-    /// mappings.  `None` outside an engine session or with tabling disabled.
-    fn shared_key(
-        &self,
-        pos_a: &Pos,
-        pos_b: &Pos,
-        map_a: &Relation,
-        map_b: &Relation,
-    ) -> Option<SharedTableKey> {
-        if !self.opts.tabling {
-            return None;
-        }
-        let (fa, fb) = self.fps.as_ref()?;
-        let pa = match pos_a {
-            Pos::Node(n) => fa.node(*n),
-            Pos::Array(v) => fa.array(v),
-        };
-        let pb = match pos_b {
-            Pos::Node(n) => fb.node(*n),
-            Pos::Array(v) => fb.array(v),
-        };
-        Some((pa, pb, map_a.structural_hash(), map_b.structural_hash()))
-    }
-
-    /// Dense integer id of a traversal position: node positions map to
-    /// `2·NodeId`, array positions to `2·id + 1` with ids handed out on
-    /// first sight, so the two kinds never collide and the tabling key
-    /// stays integer-only for every position pair.
-    fn pos_id(&mut self, original_side: bool, pos: &Pos) -> usize {
-        match pos {
-            Pos::Node(n) => n << 1,
-            Pos::Array(v) => {
-                let ids = if original_side {
-                    &mut self.array_ids_a
-                } else {
-                    &mut self.array_ids_b
-                };
-                // get-then-insert: the name is only cloned the first time an
-                // array is seen, keeping the per-lookup path allocation-free.
-                let id = match ids.get(v) {
-                    Some(&id) => id,
-                    None => {
-                        let next = ids.len();
-                        ids.insert(v.clone(), next);
-                        next
-                    }
-                };
-                (id << 1) | 1
+    /// Proves an obligation below its tabling point: one reduction step,
+    /// then the children in depth-first order.
+    fn check_reduced(&mut self, ob: &Obligation<'_>) -> Result<bool> {
+        match self.reduce(ob)? {
+            Reduction::Definitions {
+                array,
+                children,
+                assume,
+            } => {
+                let key = assume.map(|(key, pairs)| {
+                    self.in_progress.insert(key.clone(), pairs);
+                    key
+                });
+                let mut ok = true;
+                for (statement, child) in children {
+                    let _span = arrayeq_trace::span_with("definition", || {
+                        vec![
+                            arrayeq_trace::s("array", array.to_owned()),
+                            arrayeq_trace::s("statement", statement.to_owned()),
+                        ]
+                    });
+                    ok &= self.check(child)?;
+                }
+                if let Some(k) = key {
+                    self.in_progress.remove(&k);
+                }
+                Ok(ok)
+            }
+            Reduction::Operands(children) => {
+                let mut ok = true;
+                for child in children {
+                    ok &= self.check(child)?;
+                }
+                Ok(ok)
+            }
+            Reduction::Algebraic { family, chain } => self.check_algebraic(&family, &chain),
+            Reduction::Paths => self.compare_leaf_mappings(ob),
+            Reduction::Holds => Ok(true),
+            Reduction::Refuted(diagnostic) => {
+                self.diagnostics.push(*diagnostic);
+                Ok(false)
             }
         }
     }
 
-    /// Builds the tabling key for a position pair.
-    ///
-    /// On the default path the key is fully *rename-invariant* — two
-    /// content fingerprints plus the two rename-canonical structural hashes
-    /// (no string allocation, four `u64` loads) — so structurally identical
-    /// sub-proofs table-hit even when they live at different statements or
-    /// were written over differently-named iterators.  `position_table_keys`
-    /// switches positions back to per-graph ids (the pre-PR4 baseline for
-    /// the hit-rate comparison).  The legacy path (`string_table_keys`) uses
-    /// the seed's key *construction* — a deep `simplified(true)` pass and a
-    /// debug-format rendering of every conjunct, per map, per lookup — but
-    /// over this repo's wider tabling coverage (the seed only keyed
-    /// node/node pairs), so it isolates the keying cost, not the seed's
-    /// overall behaviour; the faithful end-to-end baseline is the
-    /// pre-refactor measurement recorded in `BENCH_PR1.json`.
-    fn table_key(
-        &mut self,
-        pos_a: &Pos,
-        pos_b: &Pos,
-        map_a: &Relation,
-        map_b: &Relation,
-    ) -> Option<TableKey> {
+    /// The tabling key of an obligation, shared by every tier (baseline,
+    /// local table, cross-query table): the content fingerprints of both
+    /// positions plus the rename-canonical structural hashes of both
+    /// mappings, so structurally identical sub-proofs — same computation at
+    /// a different statement, same mapping written over differently-ordered
+    /// iterators — share one entry.  `None` with tabling disabled.
+    fn table_key(&self, ob: &Obligation<'_>) -> Option<SharedTableKey> {
         if !self.opts.tabling {
             return None;
         }
-        if self.opts.fingerprint_table_keys() {
-            return self
-                .shared_key(pos_a, pos_b, map_a, map_b)
-                .map(|(fa, fb, ha, hb)| TableKey::Fp(fa, fb, ha, hb));
-        }
-        let da = self.pos_id(true, pos_a);
-        let db = self.pos_id(false, pos_b);
-        Some(if self.opts.string_table_keys {
-            TableKey::Text(da, db, legacy_key(map_a), legacy_key(map_b))
-        } else {
-            TableKey::Positional(da, db, map_a.structural_hash(), map_b.structural_hash())
-        })
+        let (fa, fb) = self.fps?;
+        let pos = |f: &Fingerprints, p: &Pos| match p {
+            Pos::Node(n) => f.node(*n),
+            Pos::Array(v) => f.array(v),
+        };
+        Some((
+            pos(fa, &ob.pos_a),
+            pos(fb, &ob.pos_b),
+            ob.map_a.structural_hash(),
+            ob.map_b.structural_hash(),
+        ))
     }
 
     /// Debug-build cross-check: a table hit whose canonical renderings differ
     /// from the stored ones means two distinct relations collided on the same
     /// 64-bit structural hash.
     #[cfg(debug_assertions)]
-    fn check_for_hash_collision(&mut self, key: &TableKey, map_a: &Relation, map_b: &Relation) {
-        if matches!(key, TableKey::Text(..)) {
-            return;
-        }
+    fn check_for_hash_collision(&mut self, key: &SharedTableKey, ob: &Obligation<'_>) {
         if let Some((ka, kb)) = self.table_shadow.get(key) {
-            if *ka != map_a.canonical_key() || *kb != map_b.canonical_key() {
+            if *ka != ob.map_a.canonical_key() || *kb != ob.map_b.canonical_key() {
                 self.stats.hash_collisions += 1;
                 debug_assert!(
                     false,
@@ -1285,232 +1207,385 @@ impl Checker<'_> {
         }
     }
 
-    fn check_uncached(
-        &mut self,
-        pos_a: &Pos,
-        map_a: Relation,
-        pos_b: &Pos,
-        map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) -> Result<bool> {
-        match (pos_a, pos_b) {
-            // Both sides are at an array variable.
-            (Pos::Array(va), Pos::Array(vb)) => {
-                let a_is_leaf = self.a.is_input(va);
-                let b_is_leaf = self.b.is_input(vb);
-                match (a_is_leaf, b_is_leaf) {
-                    (true, true) => {
-                        self.compare_leaf_mappings(va, vb, &map_a, &map_b, trail_a, trail_b)
-                    }
-                    (true, false) => {
-                        // Reduce the transformed side.
-                        self.reduce_side_b(pos_a.clone(), map_a, vb, map_b, trail_a, trail_b)
-                    }
-                    (false, _) => {
-                        // Check for a recurrence assumption before reducing.
-                        if let Some(assumed) = self.in_progress.get(&(va.clone(), vb.clone())) {
-                            let needed = map_a.inverse().compose(&map_b)?;
-                            self.stats.mapping_equalities += 1;
-                            if needed.is_subset(assumed)? {
-                                self.assumption_uses += 1;
-                                arrayeq_trace::discharge("coinduction");
-                                return Ok(true);
-                            }
-                            // Outside the assumed element pairs: fall through
-                            // and reduce (bounded because def-use order is
-                            // well-founded).
-                        }
-                        self.reduce_side_a(va, map_a, pos_b.clone(), map_b, trail_a, trail_b)
-                    }
-                }
-            }
-            // One side still inside an operator tree, the other at an array.
-            (Pos::Array(va), Pos::Node(nb)) => {
-                if self.a.is_input(va) {
-                    // The leaf reads as the single term of a chain, so an
-                    // operator side that normalises (`X + 0`, `X * 1`,
-                    // `-(-X)`) gets the algebraic treatment before this is
-                    // declared a mismatch.
-                    let g = self.b;
-                    if let Node::Operator {
-                        kind, statement, ..
-                    } = g.node(*nb)
-                    {
-                        if let Some(family) = normalize::family_against_leaf(
-                            kind,
-                            &self.opts.operators,
-                            self.opts.method,
-                        ) {
-                            return self.check_algebraic(
-                                &family,
-                                pos_a.clone(),
-                                map_a,
-                                pos_b.clone(),
-                                map_b,
-                                trail_a,
-                                &with_stmt(trail_b, statement),
-                            );
-                        }
-                    }
-                    self.report_operator_vs_leaf(va, pos_b, &map_a, &map_b, trail_a, trail_b, true);
-                    Ok(false)
-                } else {
-                    self.reduce_side_a(&va.clone(), map_a, pos_b.clone(), map_b, trail_a, trail_b)
-                }
-            }
-            (Pos::Node(na), Pos::Array(vb)) => {
-                if self.b.is_input(vb) {
-                    let g = self.a;
-                    if let Node::Operator {
-                        kind, statement, ..
-                    } = g.node(*na)
-                    {
-                        if let Some(family) = normalize::family_against_leaf(
-                            kind,
-                            &self.opts.operators,
-                            self.opts.method,
-                        ) {
-                            return self.check_algebraic(
-                                &family,
-                                pos_a.clone(),
-                                map_a,
-                                pos_b.clone(),
-                                map_b,
-                                &with_stmt(trail_a, statement),
-                                trail_b,
-                            );
-                        }
-                    }
-                    self.report_operator_vs_leaf(
-                        vb, pos_a, &map_b, &map_a, trail_b, trail_a, false,
-                    );
-                    Ok(false)
-                } else {
-                    self.reduce_side_b(pos_a.clone(), map_a, &vb.clone(), map_b, trail_a, trail_b)
-                }
-            }
-            // Both sides inside operator trees.
-            (Pos::Node(na), Pos::Node(nb)) => {
-                self.check_nodes(*na, map_a, *nb, map_b, trail_a, trail_b)
-            }
-        }
+    /// Composes an output-current mapping with an `Access` node's
+    /// dependency mapping (the paper's look-through into the accessed
+    /// array), timed as the `compose` phase.
+    pub(crate) fn compose(&mut self, map: &Relation, mapping: &Relation) -> Result<Relation> {
+        self.stats.compositions += 1;
+        let _span = arrayeq_trace::span("compose");
+        let t0 = arrayeq_trace::metrics_timer();
+        let composed = map.compose(mapping)?.simplified(true);
+        arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
+        Ok(composed)
     }
 
-    /// Reduces an intermediate (or output) array on the original side:
-    /// splits the current domain across the array's definitions.
-    fn reduce_side_a(
-        &mut self,
-        va: &str,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) -> Result<bool> {
-        let key = self.recurrence_key(va, &pos_b);
-        if let Some(k) = &key {
-            let pairs = map_a.inverse().compose(&map_b)?;
-            self.in_progress.insert(k.clone(), pairs);
+    /// The untabled front of a traversal step: resolves an `Access` node on
+    /// either side (original side first) by composing the output-current
+    /// mapping with the dependency mapping — the paper's intermediate
+    /// variable reduction then happens when the resulting array is looked
+    /// through — and recognises declared intermediate correspondences.
+    pub(crate) fn resolve<'t>(&mut self, mut ob: Obligation<'t>) -> Result<Resolved<'t>> {
+        let (a, b) = (self.a, self.b);
+        if self.compose_access(a, &mut ob.pos_a, &mut ob.map_a, &mut ob.trail_a)?
+            || self.compose_access(b, &mut ob.pos_b, &mut ob.map_b, &mut ob.trail_b)?
+        {
+            return Ok(Resolved::Composed(ob));
         }
-        let defs: Vec<_> = self.a.definitions(va).to_vec();
-        let mut ok = true;
-        for def in &defs {
-            let sub_a = map_a.restrict_range(&def.elements)?.simplified(true);
-            if sub_a.is_empty() {
-                continue;
-            }
-            let sub_domain = sub_a.domain();
-            let sub_b = map_b.restrict_domain(&sub_domain)?.simplified(true);
-            let mut trail = trail_a.to_vec();
-            trail.push(def.statement.clone());
-            let _span = arrayeq_trace::span_with("definition", || {
-                vec![
-                    arrayeq_trace::s("array", va.to_owned()),
-                    arrayeq_trace::s("statement", def.statement.clone()),
-                ]
-            });
-            ok &= self.check(
-                Pos::Node(def.root),
-                sub_a,
-                pos_b.clone(),
-                sub_b,
-                &trail,
-                trail_b,
-            )?;
-        }
-        if let Some(k) = key {
-            self.in_progress.remove(&k);
-        }
-        Ok(ok)
-    }
-
-    /// Reduces an intermediate (or output) array on the transformed side.
-    fn reduce_side_b(
-        &mut self,
-        pos_a: Pos,
-        map_a: Relation,
-        vb: &str,
-        map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) -> Result<bool> {
-        let defs: Vec<_> = self.b.definitions(vb).to_vec();
-        let mut ok = true;
-        for def in &defs {
-            let sub_b = map_b.restrict_range(&def.elements)?.simplified(true);
-            if sub_b.is_empty() {
-                continue;
-            }
-            let sub_domain = sub_b.domain();
-            let sub_a = map_a.restrict_domain(&sub_domain)?.simplified(true);
-            let mut trail = trail_b.to_vec();
-            trail.push(def.statement.clone());
-            let _span = arrayeq_trace::span_with("definition", || {
-                vec![
-                    arrayeq_trace::s("array", vb.to_owned()),
-                    arrayeq_trace::s("statement", def.statement.clone()),
-                ]
-            });
-            ok &= self.check(
-                pos_a.clone(),
-                sub_a,
-                Pos::Node(def.root),
-                sub_b,
-                trail_a,
-                &trail,
-            )?;
-        }
-        Ok(ok)
-    }
-
-    fn recurrence_key(&self, va: &str, pos_b: &Pos) -> Option<(String, String)> {
-        if let Pos::Array(vb) = pos_b {
-            Some((va.to_owned(), vb.clone()))
+        let focused = match (&self.opts.focus, ob.array_pair()) {
+            (Some(focus), Some((va, vb))) => focus
+                .intermediate_pairs
+                .iter()
+                .any(|(x, y)| x == va && y == vb),
+            _ => false,
+        };
+        Ok(if focused {
+            Resolved::Focus(ob)
         } else {
-            None
+            Resolved::Open(ob)
+        })
+    }
+
+    /// Composes through the `Access` node at `pos`, if it is one, moving
+    /// the position to the accessed array.
+    fn compose_access(
+        &mut self,
+        g: &Addg,
+        pos: &mut Pos,
+        map: &mut Relation,
+        trail: &mut Cow<'_, [String]>,
+    ) -> Result<bool> {
+        let Pos::Node(n) = pos else { return Ok(false) };
+        let Node::Access {
+            array,
+            mapping,
+            statement,
+            ..
+        } = g.node(*n)
+        else {
+            return Ok(false);
+        };
+        *map = self.compose(map, mapping)?;
+        *pos = Pos::Array(array.clone());
+        trail.to_mut().push(statement.clone());
+        Ok(true)
+    }
+
+    /// One reduction step of the traversal at a resolved tabling point —
+    /// the single source of the reduction rules, run by the sequential
+    /// traversal and by the parallel decomposer alike.  Returns the child
+    /// obligations in depth-first order, or what proves the position whole.
+    pub(crate) fn reduce<'o>(&mut self, ob: &'o Obligation<'_>) -> Result<Reduction<'o>>
+    where
+        'x: 'o,
+    {
+        let (a, b) = (self.a, self.b);
+        match (&ob.pos_a, &ob.pos_b) {
+            (Pos::Array(va), Pos::Array(vb)) => match (a.is_input(va), b.is_input(vb)) {
+                (true, true) => Ok(Reduction::Paths),
+                (true, false) => self.definitions(false, vb, ob, None),
+                (false, _) => {
+                    // Coinduction: under an assumption for this very pair,
+                    // element pairs inside the assumed relation hold.
+                    // Outside it, reduce (bounded because def-use order is
+                    // well-founded) with the assumption re-installed.
+                    let pairs = ob.map_a.inverse().compose(&ob.map_b)?;
+                    let key = (va.clone(), vb.clone());
+                    if let Some(assumed) = self.in_progress.get(&key) {
+                        self.stats.mapping_equalities += 1;
+                        if pairs.is_subset(assumed)? {
+                            self.assumption_uses += 1;
+                            arrayeq_trace::discharge("coinduction");
+                            return Ok(Reduction::Holds);
+                        }
+                    }
+                    self.definitions(true, va, ob, Some((key, pairs)))
+                }
+            },
+            // One side still inside an operator tree, the other at an array.
+            (Pos::Array(va), Pos::Node(nb)) if a.is_input(va) => {
+                Ok(self.against_input(true, va, *nb, ob))
+            }
+            (Pos::Array(va), Pos::Node(_)) => self.definitions(true, va, ob, None),
+            (Pos::Node(na), Pos::Array(vb)) if b.is_input(vb) => {
+                Ok(self.against_input(false, vb, *na, ob))
+            }
+            (Pos::Node(_), Pos::Array(vb)) => self.definitions(false, vb, ob, None),
+            // Both sides inside operator trees.
+            (Pos::Node(na), Pos::Node(nb)) => Ok(self.reduce_nodes(*na, *nb, ob)),
         }
     }
 
-    /// Both traversals reached input arrays: the end of a pair of
-    /// corresponding paths.  Check the second part of the sufficient
-    /// condition — identical output-input mappings.
-    fn compare_leaf_mappings(
-        &mut self,
-        va: &str,
-        vb: &str,
-        map_a: &Relation,
-        map_b: &Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) -> Result<bool> {
+    /// Reduces the array on one side definition by definition: one child
+    /// per definition whose elements that side's mapping reaches, with the
+    /// other side's mapping restricted to the same output elements.
+    fn definitions<'o>(
+        &self,
+        original_side: bool,
+        array: &'o str,
+        ob: &'o Obligation<'_>,
+        assume: Option<Assumption>,
+    ) -> Result<Reduction<'o>>
+    where
+        'x: 'o,
+    {
+        let (g, map, other) = if original_side {
+            (self.a, &ob.map_a, &ob.map_b)
+        } else {
+            (self.b, &ob.map_b, &ob.map_a)
+        };
+        let mut children = Vec::new();
+        for def in g.definitions(array) {
+            let sub = map.restrict_range(&def.elements)?.simplified(true);
+            if sub.is_empty() {
+                continue;
+            }
+            let sub_other = other.restrict_domain(&sub.domain())?.simplified(true);
+            let mut trail = if original_side {
+                ob.trail_a.to_vec()
+            } else {
+                ob.trail_b.to_vec()
+            };
+            trail.push(def.statement.clone());
+            let child = if original_side {
+                Obligation {
+                    pos_a: Pos::Node(def.root),
+                    map_a: sub,
+                    pos_b: ob.pos_b.clone(),
+                    map_b: sub_other,
+                    trail_a: Cow::Owned(trail),
+                    trail_b: Cow::Borrowed(&ob.trail_b),
+                }
+            } else {
+                Obligation {
+                    pos_a: ob.pos_a.clone(),
+                    map_a: sub_other,
+                    pos_b: Pos::Node(def.root),
+                    map_b: sub,
+                    trail_a: Cow::Borrowed(&ob.trail_a),
+                    trail_b: Cow::Owned(trail),
+                }
+            };
+            children.push((def.statement.as_str(), child));
+        }
+        Ok(Reduction::Definitions {
+            array,
+            children,
+            assume,
+        })
+    }
+
+    /// An input array on one side against an operator node on the other.
+    /// The leaf reads as the single term of a chain, so an operator side
+    /// that normalises (`X + 0`, `X * 1`, `-(-X)`) gets the algebraic
+    /// treatment before this is declared a mismatch.
+    fn against_input<'o>(
+        &self,
+        input_is_original: bool,
+        input: &str,
+        node: NodeId,
+        ob: &'o Obligation<'_>,
+    ) -> Reduction<'o> {
+        let g = if input_is_original { self.b } else { self.a };
+        if let Node::Operator {
+            kind, statement, ..
+        } = g.node(node)
+        {
+            if let Some(family) =
+                normalize::family_against_leaf(kind, &self.opts.operators, self.opts.method)
+            {
+                let chain = if input_is_original {
+                    ob.enter(None, Some(statement))
+                } else {
+                    ob.enter(Some(statement), None)
+                };
+                return Reduction::Algebraic { family, chain };
+            }
+        }
+        let (orig_map, trans_map) = (&ob.map_a, &ob.map_b);
+        let node_text = describe_node(g, node);
+        Reduction::Refuted(Box::new(Diagnostic {
+            kind: DiagnosticKind::OperatorMismatch,
+            output_array: None,
+            original_statements: ob.trail_a.to_vec(),
+            transformed_statements: ob.trail_b.to_vec(),
+            expressions: vec![input.to_owned(), node_text],
+            original_mapping: Some(orig_map.to_string()),
+            transformed_mapping: Some(trans_map.to_string()),
+            message: format!(
+                "one path reached input `{input}` while the corresponding path is still applying operators"
+            ),
+            failing_domain: None,
+        }))
+    }
+
+    /// Both positions are operator/constant nodes: constants compare,
+    /// chains of a shared family go algebraic, same-kind operators pair
+    /// their operands by position, and anything else is a mismatch.
+    fn reduce_nodes<'o>(&self, na: NodeId, nb: NodeId, ob: &'o Obligation<'_>) -> Reduction<'o> {
+        let (ga, gb) = (self.a, self.b);
+        let (ops, method) = (&self.opts.operators, self.opts.method);
+        let mismatch = |kind, expressions, mappings: bool, message| {
+            Reduction::Refuted(Box::new(Diagnostic {
+                kind,
+                output_array: None,
+                original_statements: ob.trail_a.to_vec(),
+                transformed_statements: ob.trail_b.to_vec(),
+                expressions,
+                original_mapping: mappings.then(|| ob.map_a.to_string()),
+                transformed_mapping: mappings.then(|| ob.map_b.to_string()),
+                message,
+                failing_domain: None,
+            }))
+        };
+        match (ga.node(na), gb.node(nb)) {
+            (Node::Const { value: va, .. }, Node::Const { value: vb, .. }) => {
+                if va == vb {
+                    Reduction::Holds
+                } else {
+                    mismatch(
+                        DiagnosticKind::OperatorMismatch,
+                        vec![va.to_string(), vb.to_string()],
+                        true,
+                        format!("constants differ: {va} vs {vb}"),
+                    )
+                }
+            }
+            (
+                Node::Operator {
+                    kind: ka,
+                    operands: oa,
+                    statement: sa,
+                },
+                Node::Operator {
+                    kind: kb,
+                    operands: ob_ops,
+                    statement: sb,
+                },
+            ) => {
+                // The normalization subsystem decides whether the two roots
+                // share a chain family (`+`/`-`/negation fold together, `*`
+                // against `+` reads additively through distribution, …).
+                if let Some(family) = normalize::chain_family(ka, kb, ops, method) {
+                    return Reduction::Algebraic {
+                        family,
+                        chain: ob.enter(Some(sa), Some(sb)),
+                    };
+                }
+                let trail_a = with_stmt(&ob.trail_a, sa);
+                let trail_b = with_stmt(&ob.trail_b, sb);
+                if ka != kb || oa.len() != ob_ops.len() {
+                    let (kind, mappings, message) = if ka != kb {
+                        (
+                            DiagnosticKind::OperatorMismatch,
+                            true,
+                            format!("operators differ: `{ka}` vs `{kb}`"),
+                        )
+                    } else {
+                        (
+                            DiagnosticKind::Structural,
+                            false,
+                            format!(
+                                "operator `{ka}` has {} operands in the original and {} in the transformed program",
+                                oa.len(),
+                                ob_ops.len()
+                            ),
+                        )
+                    };
+                    return Reduction::Refuted(Box::new(Diagnostic {
+                        kind,
+                        output_array: None,
+                        original_statements: trail_a,
+                        transformed_statements: trail_b,
+                        expressions: vec![describe_node(ga, na), describe_node(gb, nb)],
+                        original_mapping: mappings.then(|| ob.map_a.to_string()),
+                        transformed_mapping: mappings.then(|| ob.map_b.to_string()),
+                        message,
+                        failing_domain: None,
+                    }));
+                }
+                Reduction::Operands(
+                    oa.iter()
+                        .zip(ob_ops)
+                        .map(|(x, y)| Obligation {
+                            pos_a: Pos::Node(*x),
+                            map_a: ob.map_a.clone(),
+                            pos_b: Pos::Node(*y),
+                            map_b: ob.map_b.clone(),
+                            trail_a: Cow::Owned(trail_a.clone()),
+                            trail_b: Cow::Owned(trail_b.clone()),
+                        })
+                        .collect(),
+                )
+            }
+            // An operator root against a constant: the chain may *fold* to
+            // a constant (`x * 0` vs `0`, `2 + 3` vs `5`), so chains whose
+            // family folds constants get the algebraic treatment; anything
+            // else is the generic computation mismatch below.
+            (
+                Node::Operator {
+                    kind, statement, ..
+                },
+                Node::Const {
+                    statement: sb,
+                    value,
+                },
+            ) => match normalize::family_against_const(kind, ops, method) {
+                Some(family) => Reduction::Algebraic {
+                    family,
+                    chain: ob.enter(Some(statement), Some(sb)),
+                },
+                None => mismatch(
+                    DiagnosticKind::OperatorMismatch,
+                    vec![describe_node(ga, na), value.to_string()],
+                    true,
+                    "corresponding paths apply different computations".into(),
+                ),
+            },
+            (
+                Node::Const {
+                    statement: sa,
+                    value,
+                },
+                Node::Operator {
+                    kind, statement, ..
+                },
+            ) => match normalize::family_against_const(kind, ops, method) {
+                Some(family) => Reduction::Algebraic {
+                    family,
+                    chain: ob.enter(Some(sa), Some(statement)),
+                },
+                None => mismatch(
+                    DiagnosticKind::OperatorMismatch,
+                    vec![value.to_string(), describe_node(gb, nb)],
+                    true,
+                    "corresponding paths apply different computations".into(),
+                ),
+            },
+            (a_node, b_node) => mismatch(
+                DiagnosticKind::OperatorMismatch,
+                vec![node_brief(ga, na, a_node), node_brief(gb, nb, b_node)],
+                true,
+                "corresponding paths apply different computations".into(),
+            ),
+        }
+    }
+
+    /// Both traversals reached input arrays (or a declared intermediate
+    /// correspondence): the end of a pair of corresponding paths.  Check
+    /// the second part of the sufficient condition — identical output-input
+    /// mappings.
+    fn compare_leaf_mappings(&mut self, ob: &Obligation<'_>) -> Result<bool> {
+        let (va, vb) = ob
+            .array_pair()
+            .expect("leaf comparisons are between array positions");
+        let (map_a, map_b) = (&ob.map_a, &ob.map_b);
         self.stats.paths_compared += 1;
         if va != vb {
             self.diagnostics.push(Diagnostic {
                 kind: DiagnosticKind::LeafMismatch,
                 output_array: None,
-                original_statements: trail_a.to_vec(),
-                transformed_statements: trail_b.to_vec(),
+                original_statements: ob.trail_a.to_vec(),
+                transformed_statements: ob.trail_b.to_vec(),
                 expressions: vec![va.to_owned(), vb.to_owned()],
                 original_mapping: Some(map_a.to_string()),
                 transformed_mapping: Some(map_b.to_string()),
@@ -1532,8 +1607,8 @@ impl Checker<'_> {
         self.diagnostics.push(Diagnostic {
             kind: DiagnosticKind::MappingMismatch,
             output_array: None,
-            original_statements: trail_a.to_vec(),
-            transformed_statements: trail_b.to_vec(),
+            original_statements: ob.trail_a.to_vec(),
+            transformed_statements: ob.trail_b.to_vec(),
             expressions: vec![va.to_owned()],
             original_mapping: Some(map_a.to_string()),
             transformed_mapping: Some(map_b.to_string()),
@@ -1542,271 +1617,9 @@ impl Checker<'_> {
         });
         Ok(false)
     }
-
-    /// The generic "different computations" diagnostic shared by the node
-    /// pairs that neither normalise nor compare structurally.
-    fn report_computation_mismatch(
-        &mut self,
-        expr_a: String,
-        expr_b: String,
-        map_a: &Relation,
-        map_b: &Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) {
-        self.diagnostics.push(Diagnostic {
-            kind: DiagnosticKind::OperatorMismatch,
-            output_array: None,
-            original_statements: trail_a.to_vec(),
-            transformed_statements: trail_b.to_vec(),
-            expressions: vec![expr_a, expr_b],
-            original_mapping: Some(map_a.to_string()),
-            transformed_mapping: Some(map_b.to_string()),
-            message: "corresponding paths apply different computations".into(),
-            failing_domain: None,
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report_operator_vs_leaf(
-        &mut self,
-        leaf: &str,
-        node_pos: &Pos,
-        leaf_map: &Relation,
-        node_map: &Relation,
-        leaf_trail: &[String],
-        node_trail: &[String],
-        leaf_is_original: bool,
-    ) {
-        let node_text = match node_pos {
-            Pos::Node(n) => {
-                let g = if leaf_is_original { self.b } else { self.a };
-                describe_node(g, *n)
-            }
-            Pos::Array(v) => v.clone(),
-        };
-        let (orig_stmts, trans_stmts, orig_map, trans_map) = if leaf_is_original {
-            (leaf_trail.to_vec(), node_trail.to_vec(), leaf_map, node_map)
-        } else {
-            (node_trail.to_vec(), leaf_trail.to_vec(), node_map, leaf_map)
-        };
-        self.diagnostics.push(Diagnostic {
-            kind: DiagnosticKind::OperatorMismatch,
-            output_array: None,
-            original_statements: orig_stmts,
-            transformed_statements: trans_stmts,
-            expressions: vec![leaf.to_owned(), node_text],
-            original_mapping: Some(orig_map.to_string()),
-            transformed_mapping: Some(trans_map.to_string()),
-            message: format!(
-                "one path reached input `{leaf}` while the corresponding path is still applying operators"
-            ),
-            failing_domain: None,
-        });
-    }
-
-    /// Both positions are operator/constant nodes.
-    fn check_nodes(
-        &mut self,
-        na: NodeId,
-        map_a: Relation,
-        nb: NodeId,
-        map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) -> Result<bool> {
-        match (self.a.node(na).clone(), self.b.node(nb).clone()) {
-            (Node::Const { value: va, .. }, Node::Const { value: vb, .. }) => {
-                if va == vb {
-                    Ok(true)
-                } else {
-                    self.diagnostics.push(Diagnostic {
-                        kind: DiagnosticKind::OperatorMismatch,
-                        output_array: None,
-                        original_statements: trail_a.to_vec(),
-                        transformed_statements: trail_b.to_vec(),
-                        expressions: vec![va.to_string(), vb.to_string()],
-                        original_mapping: Some(map_a.to_string()),
-                        transformed_mapping: Some(map_b.to_string()),
-                        message: format!("constants differ: {va} vs {vb}"),
-                        failing_domain: None,
-                    });
-                    Ok(false)
-                }
-            }
-            (
-                Node::Operator {
-                    kind: ka,
-                    operands: oa,
-                    statement: sa,
-                },
-                Node::Operator {
-                    kind: kb,
-                    operands: ob,
-                    statement: sb,
-                },
-            ) => {
-                // The normalization subsystem decides whether the two roots
-                // share a chain family (`+`/`-`/negation fold together, `*`
-                // against `+` reads additively through distribution, …).
-                if let Some(family) =
-                    normalize::chain_family(&ka, &kb, &self.opts.operators, self.opts.method)
-                {
-                    return self.check_algebraic(
-                        &family,
-                        Pos::Node(na),
-                        map_a,
-                        Pos::Node(nb),
-                        map_b,
-                        &with_stmt(trail_a, &sa),
-                        &with_stmt(trail_b, &sb),
-                    );
-                }
-                if ka != kb {
-                    self.diagnostics.push(Diagnostic {
-                        kind: DiagnosticKind::OperatorMismatch,
-                        output_array: None,
-                        original_statements: with_stmt(trail_a, &sa),
-                        transformed_statements: with_stmt(trail_b, &sb),
-                        expressions: vec![describe_node(self.a, na), describe_node(self.b, nb)],
-                        original_mapping: Some(map_a.to_string()),
-                        transformed_mapping: Some(map_b.to_string()),
-                        message: format!("operators differ: `{ka}` vs `{kb}`"),
-                        failing_domain: None,
-                    });
-                    return Ok(false);
-                }
-                if oa.len() != ob.len() {
-                    self.diagnostics.push(Diagnostic {
-                        kind: DiagnosticKind::Structural,
-                        output_array: None,
-                        original_statements: with_stmt(trail_a, &sa),
-                        transformed_statements: with_stmt(trail_b, &sb),
-                        expressions: vec![describe_node(self.a, na), describe_node(self.b, nb)],
-                        original_mapping: None,
-                        transformed_mapping: None,
-                        message: format!(
-                            "operator `{ka}` has {} operands in the original and {} in the transformed program",
-                            oa.len(),
-                            ob.len()
-                        ),
-                        failing_domain: None,
-                    });
-                    return Ok(false);
-                }
-                let mut ok = true;
-                for (x, y) in oa.iter().zip(ob.iter()) {
-                    ok &= self.check(
-                        Pos::Node(*x),
-                        map_a.clone(),
-                        Pos::Node(*y),
-                        map_b.clone(),
-                        &with_stmt(trail_a, &sa),
-                        &with_stmt(trail_b, &sb),
-                    )?;
-                }
-                Ok(ok)
-            }
-            // An operator root against a constant: the chain may *fold* to
-            // a constant (`x * 0` vs `0`, `2 + 3` vs `5`), so chains whose
-            // family folds constants get the algebraic treatment; anything
-            // else is the generic computation mismatch below.
-            (
-                Node::Operator {
-                    kind, statement, ..
-                },
-                Node::Const {
-                    value,
-                    statement: sb,
-                },
-            ) => {
-                if let Some(family) =
-                    normalize::family_against_const(&kind, &self.opts.operators, self.opts.method)
-                {
-                    return self.check_algebraic(
-                        &family,
-                        Pos::Node(na),
-                        map_a,
-                        Pos::Node(nb),
-                        map_b,
-                        &with_stmt(trail_a, &statement),
-                        &with_stmt(trail_b, &sb),
-                    );
-                }
-                self.report_computation_mismatch(
-                    describe_node(self.a, na),
-                    value.to_string(),
-                    &map_a,
-                    &map_b,
-                    trail_a,
-                    trail_b,
-                );
-                Ok(false)
-            }
-            (
-                Node::Const {
-                    value,
-                    statement: sa,
-                },
-                Node::Operator {
-                    kind, statement, ..
-                },
-            ) => {
-                if let Some(family) =
-                    normalize::family_against_const(&kind, &self.opts.operators, self.opts.method)
-                {
-                    return self.check_algebraic(
-                        &family,
-                        Pos::Node(na),
-                        map_a,
-                        Pos::Node(nb),
-                        map_b,
-                        &with_stmt(trail_a, &sa),
-                        &with_stmt(trail_b, &statement),
-                    );
-                }
-                self.report_computation_mismatch(
-                    value.to_string(),
-                    describe_node(self.b, nb),
-                    &map_a,
-                    &map_b,
-                    trail_a,
-                    trail_b,
-                );
-                Ok(false)
-            }
-            (a_node, b_node) => {
-                self.report_computation_mismatch(
-                    node_brief(self.a, na, &a_node),
-                    node_brief(self.b, nb, &b_node),
-                    &map_a,
-                    &map_b,
-                    trail_a,
-                    trail_b,
-                );
-                Ok(false)
-            }
-        }
-    }
 }
 
-/// The seed's original tabling key *construction*: a full deep
-/// simplification (per-conjunct feasibility) followed by a sorted
-/// debug-format rendering — paid again on every single lookup.  Note the
-/// seed applied this to node/node pairs only; under
-/// [`CheckOptions::string_table_keys`] it runs over the current (wider)
-/// tabling coverage, so it measures the keying cost in isolation.
-fn legacy_key(map: &Relation) -> String {
-    let mut parts: Vec<String> = map
-        .simplified(true)
-        .conjuncts()
-        .iter()
-        .map(|c| format!("{c:?}"))
-        .collect();
-    parts.sort();
-    parts.join(" | ")
-}
-
+/// `trail` extended by `stmt`, unless it already ends there.
 pub(crate) fn with_stmt(trail: &[String], stmt: &str) -> Vec<String> {
     let mut t = trail.to_vec();
     if t.last().map(|s| s.as_str()) != Some(stmt) {
@@ -1918,34 +1731,6 @@ mod tests {
         assert_eq!(without.stats.table_hits, 0);
         assert_eq!(without.stats.table_lookups, 0);
         assert_eq!(without.stats.table_entries, 0);
-    }
-
-    #[test]
-    fn hash_and_string_table_keys_agree() {
-        // Positional hashed keys and the legacy text keys identify exactly
-        // the same sub-problems, so verdicts and the traversal shape match;
-        // the default fingerprint keys are at least as sharing (they unify
-        // structurally identical positions) and never change the verdict.
-        for (a, b) in [(FIG1_A, FIG1_C), (FIG1_A, FIG1_D)] {
-            let hashed = check(a, b, &CheckOptions::default().with_position_table_keys());
-            let text = check(a, b, &CheckOptions::default().with_string_table_keys());
-            assert_eq!(hashed.verdict, text.verdict);
-            assert_eq!(hashed.stats.table_lookups, text.stats.table_lookups);
-            assert_eq!(hashed.stats.table_hits, text.stats.table_hits);
-            assert_eq!(hashed.stats.table_entries, text.stats.table_entries);
-            // The debug-build collision cross-check ran on every hit.
-            assert_eq!(hashed.stats.hash_collisions, 0);
-
-            let fp = check(a, b, &CheckOptions::default());
-            assert_eq!(fp.verdict, hashed.verdict);
-            assert!(
-                fp.stats.table_hits >= hashed.stats.table_hits,
-                "rename-invariant keys can only widen sharing: {} < {}",
-                fp.stats.table_hits,
-                hashed.stats.table_hits
-            );
-            assert_eq!(fp.stats.hash_collisions, 0);
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! folded constants, dropped identities, annihilated products and one-level
 //! distribution of `*` over `+` (see the [`crate::normalize`] module docs).
 
-use crate::checker::{Checker, Pos};
+use crate::checker::{with_stmt, Checker, Pos};
 use crate::Result;
 use arrayeq_addg::{Node, NodeId, OperatorKind};
 use arrayeq_omega::{Relation, Set};
@@ -71,10 +71,6 @@ fn term_domain(base: Set, factors: &[Factor]) -> Result<Set> {
             Ok(dom)
         }
     }
-}
-
-fn with_stmt_owned(trail: &[String], stmt: &str) -> Vec<String> {
-    crate::checker::with_stmt(trail, stmt)
 }
 
 /// Evaluates a fully-constant operator subtree (`(2 + 1)`, `-(4)`, `2·3`)
@@ -152,7 +148,7 @@ impl<'x> Checker<'x> {
                             family,
                             Pos::Node(child),
                             map.clone(),
-                            with_stmt_owned(&trail, &statement),
+                            with_stmt(&trail, &statement),
                             sign,
                             false,
                             out,
@@ -166,7 +162,7 @@ impl<'x> Checker<'x> {
                     operands,
                     statement,
                 } if additive && add.is_ac() => {
-                    let t = with_stmt_owned(&trail, &statement);
+                    let t = with_stmt(&trail, &statement);
                     self.flatten_family(
                         original_side,
                         family,
@@ -198,7 +194,7 @@ impl<'x> Checker<'x> {
                     family,
                     Pos::Node(operands[0]),
                     map,
-                    with_stmt_owned(&trail, &statement),
+                    with_stmt(&trail, &statement),
                     sign.wrapping_neg(),
                     false,
                     out,
@@ -224,7 +220,7 @@ impl<'x> Checker<'x> {
                         family,
                         Pos::Node(operands[0]),
                         map,
-                        with_stmt_owned(&trail, &statement),
+                        with_stmt(&trail, &statement),
                         sign,
                         false,
                         out,
@@ -252,20 +248,13 @@ impl<'x> Checker<'x> {
                     statement,
                     ..
                 } => {
-                    self.stats.compositions += 1;
-                    let new_map = {
-                        let _span = arrayeq_trace::span("compose");
-                        let t0 = arrayeq_trace::metrics_timer();
-                        let m = map.compose(&mapping)?.simplified(true);
-                        arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                        m
-                    };
+                    let new_map = self.compose(&map, &mapping)?;
                     self.flatten_family(
                         original_side,
                         family,
                         Pos::Array(array),
                         new_map,
-                        with_stmt_owned(&trail, &statement),
+                        with_stmt(&trail, &statement),
                         sign,
                         false,
                         out,
@@ -322,7 +311,7 @@ impl<'x> Checker<'x> {
                         family,
                         Pos::Node(def.root),
                         sub,
-                        with_stmt_owned(&trail, &def.statement),
+                        with_stmt(&trail, &def.statement),
                         sign,
                         false,
                         out,
@@ -439,7 +428,7 @@ impl<'x> Checker<'x> {
                 operands,
                 statement,
             } => {
-                let t = with_stmt_owned(trail, &statement);
+                let t = with_stmt(trail, &statement);
                 for child in operands {
                     if !self.flatten_product(
                         original_side,
@@ -465,7 +454,7 @@ impl<'x> Checker<'x> {
                     original_side,
                     operands[0],
                     map,
-                    &with_stmt_owned(trail, &statement),
+                    &with_stmt(trail, &statement),
                     coeff,
                     factors,
                     distribute,
@@ -504,19 +493,12 @@ impl<'x> Checker<'x> {
                 statement,
                 ..
             } => {
-                self.stats.compositions += 1;
-                let m = {
-                    let _span = arrayeq_trace::span("compose");
-                    let t0 = arrayeq_trace::metrics_timer();
-                    let m = map.compose(&mapping)?.simplified(true);
-                    arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                    m
-                };
+                let m = self.compose(map, &mapping)?;
                 self.product_enter_array(
                     original_side,
                     array,
                     m,
-                    with_stmt_owned(trail, &statement),
+                    with_stmt(trail, &statement),
                     coeff,
                     factors,
                     distribute,
@@ -574,7 +556,7 @@ impl<'x> Checker<'x> {
                     original_side,
                     def.root,
                     &sub,
-                    &with_stmt_owned(&trail, &def.statement),
+                    &with_stmt(&trail, &def.statement),
                     coeff,
                     factors,
                     distribute,

@@ -18,19 +18,16 @@
 
 use super::arena::TermId;
 use super::flatten::FlatTerm;
-use crate::checker::{Checker, Pos};
+use crate::checker::{Checker, Obligation, Pos};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
 use crate::Result;
 use arrayeq_addg::{describe_node, OperatorKind};
-use arrayeq_omega::{Relation, Set};
+use arrayeq_omega::Set;
+use std::borrow::Cow;
 
 /// Partitions `full` into pieces on which every term of either side is
 /// fully present or fully absent.
-pub(crate) fn split_pieces(
-    full: &Set,
-    terms_a: &[FlatTerm],
-    terms_b: &[FlatTerm],
-) -> Result<Vec<Set>> {
+fn split_pieces(full: &Set, terms_a: &[FlatTerm], terms_b: &[FlatTerm]) -> Result<Vec<Set>> {
     let mut pieces = vec![full.clone()];
     for t in terms_a.iter().chain(terms_b.iter()) {
         let dom = &t.domain;
@@ -52,7 +49,7 @@ pub(crate) fn split_pieces(
 
 /// Restricts a term list to one piece: terms whose domain misses the piece
 /// drop out, surviving terms get their factor mappings restricted.
-pub(crate) fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
+fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<FlatTerm>> {
     let mut out = Vec::new();
     'terms: for t in terms {
         if t.factors.is_empty() {
@@ -87,25 +84,70 @@ pub(crate) fn restrict_terms(terms: &[FlatTerm], piece: &Set) -> Result<Vec<Flat
     Ok(out)
 }
 
+/// A flattened algebraic chain: both sides' terms, and the pieces of the
+/// output domain on which every term is fully present or fully absent.
+pub(crate) struct Flattened {
+    terms_a: Vec<FlatTerm>,
+    terms_b: Vec<FlatTerm>,
+    pub pieces: Vec<Set>,
+}
+
+impl Flattened {
+    /// Both term lists restricted to one of the pieces.  Restricted one
+    /// piece at a time, so only the piece being matched is held.
+    pub(crate) fn piece(&self, set: &Set) -> Result<Piece> {
+        Ok(Piece {
+            set: set.clone(),
+            live_a: restrict_terms(&self.terms_a, set)?,
+            live_b: restrict_terms(&self.terms_b, set)?,
+        })
+    }
+}
+
+/// One region of an algebraic chain: a piece of the output domain with
+/// both term lists restricted to it.
+#[derive(Debug)]
+pub(crate) struct Piece {
+    pub set: Set,
+    pub live_a: Vec<FlatTerm>,
+    pub live_b: Vec<FlatTerm>,
+}
+
 impl<'x> Checker<'x> {
     /// The extended method at an algebraic chain: flatten both sides into
     /// the resolved family, split the output domain into regions with a
     /// fixed term structure, and match terms within each region.  Entered
-    /// from `check_nodes` (operator/operator and operator/constant pairs)
-    /// and from the leaf-versus-operator traversal arms.
-    #[allow(clippy::too_many_arguments)]
+    /// for every [`crate::checker::Reduction::Algebraic`] step.
     pub(crate) fn check_algebraic(
         &mut self,
         family: &OperatorKind,
-        pos_a: Pos,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-        trail_a: &[String],
-        trail_b: &[String],
+        chain: &Obligation<'_>,
     ) -> Result<bool> {
+        let Some(flat) = self.flatten_pieces(family, chain)? else {
+            return Ok(false);
+        };
+        let mut ok = true;
+        for set in &flat.pieces {
+            let piece = flat.piece(set)?;
+            ok &= self.match_piece(family, &piece, &chain.trail_a, &chain.trail_b)?;
+            if !self.budget() {
+                return Ok(false);
+            }
+        }
+        Ok(ok)
+    }
+
+    /// The flatten half of the extended method: flattens both sides of
+    /// `chain` into `family` and splits the output domain into pieces.
+    /// Shared by [`Checker::check_algebraic`] and the parallel decomposer,
+    /// which turns each piece into a match task.  `None` when a budget
+    /// tripped mid-flatten (the run is inconclusive then).
+    pub(crate) fn flatten_pieces(
+        &mut self,
+        family: &OperatorKind,
+        chain: &Obligation<'_>,
+    ) -> Result<Option<Flattened>> {
         self.stats.flattenings += 1;
-        let full = map_a.domain();
         let mut terms_a = Vec::new();
         let mut terms_b = Vec::new();
         {
@@ -114,9 +156,9 @@ impl<'x> Checker<'x> {
             self.flatten_family(
                 true,
                 family,
-                pos_a,
-                map_a,
-                trail_a.to_vec(),
+                chain.pos_a.clone(),
+                chain.map_a.clone(),
+                chain.trail_a.to_vec(),
                 1,
                 true,
                 &mut terms_a,
@@ -124,14 +166,17 @@ impl<'x> Checker<'x> {
             self.flatten_family(
                 false,
                 family,
-                pos_b,
-                map_b,
-                trail_b.to_vec(),
+                chain.pos_b.clone(),
+                chain.map_b.clone(),
+                chain.trail_b.to_vec(),
                 1,
                 true,
                 &mut terms_b,
             )?;
             arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Flatten, t0);
+        }
+        if self.exhausted {
+            return Ok(None);
         }
         self.stats.terms_flattened += (terms_a.len() + terms_b.len()) as u64;
         arrayeq_trace::event_with("flattened", || {
@@ -140,46 +185,28 @@ impl<'x> Checker<'x> {
                 arrayeq_trace::u("terms_b", terms_b.len() as u64),
             ]
         });
-
-        let pieces = split_pieces(&full, &terms_a, &terms_b)?;
-        let mut ok = true;
-        for piece in &pieces {
-            ok &= self.match_piece(family, &terms_a, &terms_b, piece, trail_a, trail_b)?;
-            if !self.budget() {
-                return Ok(false);
-            }
-        }
-        Ok(ok)
+        let pieces = split_pieces(&chain.map_a.domain(), &terms_a, &terms_b)?;
+        Ok(Some(Flattened {
+            terms_a,
+            terms_b,
+            pieces,
+        }))
     }
 
-    /// Restricts both term lists to one piece and matches them there.
+    /// Matches the two term lists of one piece (see the module docs for the
+    /// three stages).  Also the body of a per-piece task in a parallel run.
     pub(crate) fn match_piece(
         &mut self,
         family: &OperatorKind,
-        terms_a: &[FlatTerm],
-        terms_b: &[FlatTerm],
-        piece: &Set,
+        piece: &Piece,
         trail_a: &[String],
         trail_b: &[String],
     ) -> Result<bool> {
-        let live_a = restrict_terms(terms_a, piece)?;
-        let live_b = restrict_terms(terms_b, piece)?;
-        self.match_restricted(family, &live_a, &live_b, piece, trail_a, trail_b)
-    }
-
-    /// Matches two already-restricted term lists over one piece (see the
-    /// module docs for the three stages).  Also the body of a decomposed
-    /// per-piece task in a parallel run.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn match_restricted(
-        &mut self,
-        family: &OperatorKind,
-        live_a: &[FlatTerm],
-        live_b: &[FlatTerm],
-        piece: &Set,
-        trail_a: &[String],
-        trail_b: &[String],
-    ) -> Result<bool> {
+        let Piece {
+            set: piece,
+            live_a,
+            live_b,
+        } = piece;
         self.stats.matchings += 1;
         let _span = arrayeq_trace::span_with("match", || {
             vec![
@@ -377,14 +404,14 @@ impl<'x> Checker<'x> {
             for j in candidates {
                 let fb = &tb.factors[j];
                 let mark = self.diagnostics.len();
-                let ok = self.check(
-                    fa.pos.clone(),
-                    fa.map.clone(),
-                    fb.pos.clone(),
-                    fb.map.clone(),
-                    &fa.trail,
-                    &fb.trail,
-                )?;
+                let ok = self.check(Obligation {
+                    pos_a: fa.pos.clone(),
+                    map_a: fa.map.clone(),
+                    pos_b: fb.pos.clone(),
+                    map_b: fb.map.clone(),
+                    trail_a: Cow::Borrowed(&fa.trail),
+                    trail_b: Cow::Borrowed(&fb.trail),
+                })?;
                 if ok {
                     used[j] = true;
                     matched = true;
@@ -413,7 +440,7 @@ impl<'x> Checker<'x> {
     }
 
     /// Interns one term into the arena by its rename-invariant content key;
-    /// `None` when the run has no fingerprints (legacy keying baselines).
+    /// `None` when the run has no fingerprints (tabling disabled).
     fn intern_term(&mut self, original_side: bool, t: &FlatTerm) -> Option<TermId> {
         let keys: Vec<(u64, u64)> = {
             let (fa, fb) = self.fps.as_ref()?;

@@ -40,11 +40,13 @@
 //!   terms — first by arena id (integer equality), then through the match
 //!   memo, and only then by a speculative recursive equivalence check.
 //!
-//! The entry point is [`crate::checker::Checker::check_algebraic`], whose
-//! body lives in [`matching`]; `checker.rs` itself only dispatches here.
-//! The parallel coordinator ([`crate::parallel`]) reuses the same flatten
-//! and piece-splitting code to decompose one flatten/match obligation into
-//! independent per-piece sub-obligations.
+//! The traversal's reduction step hands a chain here as an algebraic
+//! obligation; [`crate::checker::Checker::check_algebraic`] (in
+//! [`matching`]) runs its two halves: `flatten_pieces` flattens both sides
+//! and splits the output domain into [`Piece`]s, and `match_piece` matches
+//! one piece.  The parallel schedule ([`crate::parallel`]) calls the same
+//! `flatten_pieces` and runs each piece's match as its own task, so both
+//! paths share one flatten — with its span, metric and counters.
 //!
 //! # Chain families
 //!
@@ -63,7 +65,7 @@ pub(crate) mod flatten;
 pub(crate) mod matching;
 
 pub(crate) use arena::TermArena;
-pub(crate) use flatten::FlatTerm;
+pub(crate) use matching::Piece;
 
 use crate::checker::Method;
 use crate::operators::OperatorProperties;

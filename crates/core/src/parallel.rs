@@ -1,60 +1,64 @@
-//! Intra-query parallel checking: one verification run sharded across
-//! outputs and independent correspondence sub-proofs.
+//! The schedule of one verification run: which lane proves which
+//! obligation of the traversal, and how their results merge.
 //!
-//! The synchronized traversal of Section 5 establishes correspondences
-//! output by output, and below each output it reduces arrays definition by
-//! definition and operators operand by operand.  Those sub-obligations are
-//! independent up to the tabling state, so a run with
-//! [`CheckOptions::jobs`]` > 1` is executed in three phases:
+//! The traversal's reduction rules live in one place, [`crate::checker`]:
+//! [`Checker::resolve`] composes through accesses, [`Checker::reduce`]
+//! returns an obligation's children in depth-first order, and
+//! [`Checker::flatten_pieces`] splits an algebraic chain into per-piece
+//! match obligations.  This module only decides how to run them:
 //!
-//! 1. **Decompose** (sequential, coordinator thread): the root obligation is
-//!    split into [`CheckTask`]s by replaying the traversal's *reduction*
-//!    steps without proving anything — per output, then per definition of
-//!    the output array (carrying the coinductive recurrence assumption the
-//!    sequential reduction would have installed), then through `Access`
-//!    compositions and per positional operand pair.  Splitting stops at
-//!    algebraic (flatten/match) positions, whose greedy matching is a single
-//!    sub-proof.  Tasks keep the depth-first order of the sequential
-//!    traversal, so diagnostics merge back in the exact sequential order.
-//! 2. **Execute** (scoped worker pool): workers pull tasks off a shared
-//!    queue (an atomic cursor — idle workers steal whatever obligation is
-//!    next, so one expensive output does not serialise the run).  Each
-//!    worker owns a full [`Checker`] — local tabling cache, coinductive
-//!    assumptions, stats, diagnostics buffer — and all workers share the
-//!    session state through the [`CheckContext`]: the engine's cross-query
-//!    equivalence table (rename-invariant keys mean one worker's sub-proof
-//!    discharges another worker's identical obligation mid-run) and the
-//!    session feasibility cache, re-installed in every worker via
-//!    [`arrayeq_omega::with_feasibility_cache`].  Budgets and cancellation
-//!    propagate through one [`SharedBudget`]: any worker tripping the work
-//!    limit, deadline or cancel token winds the whole pool down promptly.
-//! 3. **Merge** (coordinator): per-task verdicts fold into one verdict,
-//!    per-task diagnostics concatenate in task order (deterministic —
-//!    [`crate::Report::render_stable`] is byte-identical at every `jobs`),
-//!    and per-worker [`CheckStats`] merge race-free at join.
+//! 1. **Decompose** (`jobs > 1`, coordinator thread): the root obligations
+//!    (one per checked output) are split by calling those same steps on a
+//!    coordinator [`Checker`] — never re-implementing them — while there are
+//!    fewer tasks than `TASKS_PER_WORKER × jobs`, shallowest first, at most
+//!    [`MAX_SPLIT_DEPTH`] steps deep.  A split carries the recurrence
+//!    assumption the traversal installs around a definition split into the
+//!    children's tasks.  Algebraic chains are split into pieces only while
+//!    the pool is starved (fewer tasks than workers).  Children replace their
+//!    parent in place, so the task list stays in the traversal's depth-first
+//!    order.  At `jobs = 1` nothing is split: the roots are the tasks.
+//! 2. **Execute**: at `jobs = 1` the roots run on the calling thread, on one
+//!    [`Checker`] with the exact local budget — no spawn, so thread-local
+//!    caches and counters behave like a plain recursive run.  Above, a scoped
+//!    pool of workers pulls tasks off an atomic cursor (idle workers steal
+//!    whatever obligation is next, so one expensive output does not
+//!    serialise the run).  Each worker owns a full [`Checker`] and shares
+//!    the session state through the [`CheckContext`] — the engine's
+//!    cross-query equivalence table and the session feasibility cache,
+//!    re-installed in every worker via [`with_feasibility_cache`].  Budgets
+//!    and cancellation propagate through one [`SharedBudget`].  Every task
+//!    runs under `catch_unwind`: a panic poisons only its own obligation and
+//!    quarantines the lane's checker.
+//! 3. **Merge**: task verdicts fold per output and task diagnostics
+//!    concatenate in task order — the traversal's depth-first order, so
+//!    [`crate::Report::render_stable`] is byte-identical at every `jobs` —
+//!    and per-lane [`CheckStats`] merge race-free at join.
 
 use crate::checker::{
-    check_output_domains, select_outputs, with_stmt, CheckOptions, Checker, OutputDomains, Pos,
-    SharedBudget,
+    Assumption, CheckOptions, Checker, Obligation, Reduction, Resolved, SharedBudget, Verdicts,
 };
 use crate::context::{BudgetExhausted, CheckContext};
 use crate::diagnostics::{Diagnostic, DiagnosticKind};
-use crate::normalize::{self, matching, FlatTerm};
-use crate::report::{CheckStats, Report, Verdict};
+use crate::normalize::Piece;
+use crate::report::CheckStats;
 use crate::Result;
-use arrayeq_addg::{Addg, Fingerprints, Node, OperatorKind};
-use arrayeq_omega::{current_feasibility_cache, with_feasibility_cache, Relation, Set};
+use arrayeq_addg::{Addg, Fingerprints, OperatorKind};
+use arrayeq_omega::{current_feasibility_cache, with_feasibility_cache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 /// How many tasks the decomposition aims to produce per worker; a few per
 /// worker keep the pool balanced when task costs are skewed without paying
 /// decomposition overhead for thousands of micro-tasks.
 const TASKS_PER_WORKER: usize = 4;
 
-/// Fault-injection hook for the robustness tests: the worker that picks up
+/// Reduction depth bound for the decomposition: expansion never recurses
+/// deeper than this many reduction steps below a root obligation, so the
+/// coordinator's sequential phase stays a small fraction of the run.
+const MAX_SPLIT_DEPTH: usize = 6;
+
+/// Fault-injection hook for the robustness tests: the lane that picks up
 /// the task with this index panics before running it (`usize::MAX` = off).
 /// One-shot — the trigger disarms itself when it fires, so a test arms it,
 /// runs one verify, and every later run on the process is clean.
@@ -69,8 +73,8 @@ pub fn inject_worker_panic_on_task(task_idx: Option<usize>) {
 }
 
 /// One-shot arming of synthetic solver-overflow injection: the next run
-/// (sequential) or worker drain (parallel) that observes the flag records
-/// one overflow event on its thread and disarms.
+/// that observes the flag records one overflow event on its calling thread
+/// and disarms.
 static INJECT_OVERFLOW: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Arms one synthetic solver-overflow event in the next verification.
@@ -104,28 +108,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Outcome slot of one task: completed (verdict or pipeline error), or
-/// poisoned by a worker panic.
+/// poisoned by a panic.
 enum TaskSlot {
     Done(Result<(bool, Vec<Diagnostic>)>),
     Panicked(String),
 }
 
-/// Reduction depth bound for the decomposition: expansion never recurses
-/// deeper than this many reduction steps below a root obligation, so the
-/// coordinator's sequential phase stays a small fraction of the run.
-const MAX_SPLIT_DEPTH: usize = 6;
-
-/// One decomposed sub-obligation, plus the coinductive assumptions the
-/// sequential traversal would have had installed when it reached this
-/// position.
+/// One scheduled sub-obligation, plus the recurrence assumptions the
+/// traversal would have had installed when it reached this position.
 struct CheckTask {
-    /// Index into the checked-outputs list (diagnostic stamping + ordering).
-    output_idx: usize,
-    trail_a: Vec<String>,
-    trail_b: Vec<String>,
+    /// Index into the checked-outputs list.
+    output: usize,
     /// Recurrence assumptions accumulated along the decomposition path, in
-    /// installation order: `((array_a, array_b), assumed element pairs)`.
-    assumptions: Vec<((String, String), Relation)>,
+    /// installation order.
+    assumptions: Vec<Assumption>,
     /// Reduction steps below the root obligation (bounds the decomposition).
     depth: usize,
     kind: TaskKind,
@@ -133,274 +129,266 @@ struct CheckTask {
 
 /// What one task proves.
 enum TaskKind {
-    /// A traversal obligation: exactly the argument tuple of the sequential
-    /// `check`.
-    Traverse {
-        pos_a: Pos,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-    },
-    /// One region piece of a flatten/match obligation, emitted by
-    /// [`expand_algebraic`]: the coordinator flattened both sides and
-    /// restricted the term lists to this piece; the worker runs the match.
+    /// A traversal obligation, proven by [`Checker::check`].
+    Traverse(Obligation<'static>),
+    /// One region piece of an algebraic chain the coordinator flattened;
+    /// the lane runs only its match.
     MatchPiece {
         family: OperatorKind,
-        live_a: Vec<FlatTerm>,
-        live_b: Vec<FlatTerm>,
-        piece: Set,
+        piece: Piece,
+        trail_a: Vec<String>,
+        trail_b: Vec<String>,
     },
 }
 
 impl CheckTask {
-    /// A traversal task inheriting bookkeeping from its parent.
-    #[allow(clippy::too_many_arguments)]
-    fn traverse(
-        parent: &CheckTask,
-        pos_a: Pos,
-        map_a: Relation,
-        pos_b: Pos,
-        map_b: Relation,
-        trail_a: Vec<String>,
-        trail_b: Vec<String>,
-        assumptions: Vec<((String, String), Relation)>,
-    ) -> CheckTask {
+    /// A traversal task one reduction step below `self`, with `assume`
+    /// (if any) appended to the inherited assumptions.
+    fn child(&self, ob: Obligation<'_>, assume: Option<Assumption>) -> CheckTask {
+        let mut assumptions = self.assumptions.clone();
+        assumptions.extend(assume);
         CheckTask {
-            output_idx: parent.output_idx,
-            trail_a,
-            trail_b,
+            output: self.output,
             assumptions,
-            depth: parent.depth + 1,
-            kind: TaskKind::Traverse {
-                pos_a,
-                map_a,
-                pos_b,
-                map_b,
-            },
+            depth: self.depth + 1,
+            kind: TaskKind::Traverse(ob.into_owned()),
         }
+    }
+
+    fn trails(&self) -> (&[String], &[String]) {
+        match &self.kind {
+            TaskKind::Traverse(ob) => (&ob.trail_a, &ob.trail_b),
+            TaskKind::MatchPiece {
+                trail_a, trail_b, ..
+            } => (trail_a, trail_b),
+        }
+    }
+
+    fn run(&self, checker: &mut Checker<'_>) -> Result<(bool, Vec<Diagnostic>)> {
+        checker.run_task(&self.assumptions, |c| match &self.kind {
+            TaskKind::Traverse(ob) => c.check(ob.reborrow()),
+            TaskKind::MatchPiece {
+                family,
+                piece,
+                trail_a,
+                trail_b,
+            } => c.match_piece(family, piece, trail_a, trail_b),
+        })
     }
 }
 
-/// The parallel counterpart of the sequential `Checker::run`, dispatched by
-/// [`crate::verify_addgs_with`] when the effective job count exceeds one.
-pub(crate) fn verify_addgs_parallel(
+/// What the schedule hands back to [`crate::verify_addgs_with_fps`]
+/// besides the per-output verdicts it merged.
+pub(crate) struct Run {
+    /// Counters of every lane, merged.
+    pub(crate) stats: CheckStats,
+    /// The first budget that fired, if any.
+    pub(crate) budget: Option<BudgetExhausted>,
+    /// The first poisoned task's panic message, if any.
+    pub(crate) panic: Option<String>,
+    /// Solver overflow events on pool workers (the calling thread's own
+    /// events are harvested by `verify_addgs_with_fps`).
+    pub(crate) overflow_events: u64,
+}
+
+/// Proves the root obligations — `(output index, obligation)` in output
+/// order — and merges every task's verdict and diagnostics into `verdicts`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run(
     a: &Addg,
     b: &Addg,
     opts: &CheckOptions,
     ctx: &CheckContext<'_>,
-    fps: Option<(Fingerprints, Fingerprints)>,
-) -> Result<Report> {
-    let started = Instant::now();
-    // Clear any overflow residue an earlier run left on this thread, so the
-    // harvest after the merge attributes events to this run only.
-    let _ = arrayeq_omega::take_arith_overflow();
-    let overflow_base = arrayeq_omega::arith_overflow_events();
-    let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
-    let fallback_base = arrayeq_omega::bigint_fallback_events();
+    fps: Option<&(Fingerprints, Fingerprints)>,
+    outputs: &[String],
+    roots: Vec<(usize, Obligation<'static>)>,
+    verdicts: &mut Verdicts,
+) -> Result<Run> {
     let jobs = opts.effective_jobs();
-    let outputs = select_outputs(a, b, opts)?;
-
-    // Phase 1: decompose.  Per output, either a domain-mismatch diagnostic
-    // (no traversal to run) or a root task, then split the root tasks until
-    // the pool has enough independent obligations.
-    // The run-wide budget exists from the very first phase: the algebraic
-    // expansion's flattening is real Omega work and flushes into the same
-    // counter the workers use, so `max_work` bounds the whole run.
+    let mut tasks: Vec<CheckTask> = roots
+        .into_iter()
+        .map(|(output, ob)| CheckTask {
+            output,
+            assumptions: Vec::new(),
+            depth: 0,
+            kind: TaskKind::Traverse(ob),
+        })
+        .collect();
     let budget = SharedBudget::default();
-    let mut prologue: Vec<Option<Diagnostic>> = Vec::with_capacity(outputs.len());
-    let mut tasks: Vec<CheckTask> = Vec::new();
-    let mut coordinator_stats = CheckStats::default();
-    let mut cone = 0u64;
-    let mut domain_hashes: Vec<(String, u64)> = Vec::new();
-    // First out-of-fragment obligation, if any: the affected output's verdict
-    // is withheld (typed inconclusive), mirroring the sequential path.
-    let mut fragment_reason: Option<BudgetExhausted> = None;
-    for (output_idx, output) in outputs.iter().enumerate() {
-        // Dirty-cone focus, mirroring the sequential path: baseline-clean
-        // outputs keep their prologue slot (so the merge stays positional)
-        // but contribute no domain check and no task.
-        if opts.assume_clean.iter().any(|o| o == output) {
-            arrayeq_trace::event_with("output_clean", || {
-                vec![arrayeq_trace::s("output", output.clone())]
-            });
-            prologue.push(None);
-            continue;
+    let next = AtomicUsize::new(0);
+    let (slots, stats, local_reason) = if jobs <= 1 {
+        let slots = empty_slots(tasks.len());
+        let (stats, reason) = drain(
+            || Checker::new(a, b, opts, ctx, fps, None),
+            &tasks,
+            &next,
+            &slots,
+            outputs,
+        );
+        (slots, stats, reason)
+    } else {
+        // The coordinator accounts against the run-wide budget: the
+        // flattening behind an algebraic split is real Omega work, so
+        // `max_work` bounds the whole run.
+        let mut coordinator = Checker::new(a, b, opts, ctx, None, Some(&budget));
+        expand_tasks(&mut tasks, jobs, &mut coordinator)?;
+        let (mut stats, _) = coordinator.finish();
+        stats.parallel_tasks = tasks.len() as u64;
+        stats.algebraic_piece_tasks = tasks
+            .iter()
+            .filter(|t| matches!(t.kind, TaskKind::MatchPiece { .. }))
+            .count() as u64;
+        let slots = empty_slots(tasks.len());
+        stats.merge(&run_pool(
+            a, b, opts, ctx, fps, outputs, &tasks, &next, &slots, &budget, jobs,
+        ));
+        (slots, stats, None)
+    };
+
+    // Deterministic merge: task order is the traversal's depth-first order
+    // (the roots in output order, children spliced in place of their
+    // parent), so diagnostics land exactly where the sequential traversal
+    // emits them; the first pipeline error in task order wins.
+    let mut panic = None;
+    for (task, slot) in tasks.iter().zip(slots) {
+        let slot = slot
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .expect("every task slot is filled by a lane");
+        match slot {
+            TaskSlot::Done(Ok((ok, diagnostics))) => verdicts.record(task.output, ok, diagnostics),
+            TaskSlot::Done(Err(e)) => verdicts.withhold(task.output, e)?,
+            TaskSlot::Panicked(message) => {
+                // The obligation is poisoned, not refuted: it neither proves
+                // nor disproves anything, so the verdict is withheld while
+                // every other task's result stands.
+                let (trail_a, trail_b) = task.trails();
+                let diagnostic = Diagnostic {
+                    kind: DiagnosticKind::WorkerPanicked,
+                    output_array: None,
+                    original_statements: trail_a.to_vec(),
+                    transformed_statements: trail_b.to_vec(),
+                    expressions: Vec::new(),
+                    original_mapping: None,
+                    transformed_mapping: None,
+                    message: format!(
+                        "worker task panicked ({message}); this obligation's verdict is \
+                         poisoned and the run is inconclusive"
+                    ),
+                    failing_domain: None,
+                };
+                verdicts.record(task.output, true, vec![diagnostic]);
+                panic.get_or_insert(message);
+            }
         }
-        cone += 1;
-        let domains = match check_output_domains(a, b, output) {
-            Ok(d) => d,
-            Err(e) => {
-                if let Some(reason) = crate::checker::unsupported_fragment(&e) {
-                    if fragment_reason.is_none() {
-                        fragment_reason = Some(reason);
-                    }
-                    prologue.push(None);
-                    continue;
+    }
+    Ok(Run {
+        stats,
+        budget: local_reason.or_else(|| budget.take_reason()),
+        panic,
+        overflow_events: budget.overflow_events(),
+    })
+}
+
+fn empty_slots(n: usize) -> Vec<Mutex<Option<TaskSlot>>> {
+    (0..n).map(|_| Mutex::new(None)).collect()
+}
+
+/// Runs tasks off the shared cursor until the queue is empty, recording
+/// each outcome in its slot.  A panicking task poisons only its own slot,
+/// and the lane *quarantines* its local state by replacing the whole
+/// `Checker` — term arena, tabling cache, coinductive assumptions, buffered
+/// diagnostics could all be mid-mutation — keeping only its counters.  The
+/// *shared* tables need no rollback: they only ever receive completed
+/// verdicts in a single `put`.  Returns the lane's counters and, for a
+/// local budget, which budget fired.
+fn drain<'x>(
+    fresh: impl Fn() -> Checker<'x>,
+    tasks: &[CheckTask],
+    next: &AtomicUsize,
+    slots: &[Mutex<Option<TaskSlot>>],
+    outputs: &[String],
+) -> (CheckStats, Option<BudgetExhausted>) {
+    let mut checker = fresh();
+    let mut stats = CheckStats::default();
+    let mut reason = None;
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(task) = tasks.get(i) else { break };
+        let slot = if PANIC_ON_TASK
+            .compare_exchange(i, usize::MAX, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            TaskSlot::Panicked("injected worker panic".to_owned())
+        } else {
+            let _span = arrayeq_trace::span_with("task", || {
+                vec![
+                    arrayeq_trace::s("output", outputs[task.output].clone()),
+                    arrayeq_trace::s(
+                        "kind",
+                        match &task.kind {
+                            TaskKind::Traverse(_) => "traverse",
+                            TaskKind::MatchPiece { .. } => "match_piece",
+                        },
+                    ),
+                ]
+            });
+            match catch_unwind(AssertUnwindSafe(|| task.run(&mut checker))) {
+                Ok(done) => TaskSlot::Done(done),
+                Err(payload) => {
+                    let (poisoned, poisoned_reason) =
+                        std::mem::replace(&mut checker, fresh()).finish();
+                    stats.merge(&poisoned);
+                    reason = reason.or(poisoned_reason);
+                    TaskSlot::Panicked(panic_message(payload))
                 }
-                return Err(e);
             }
         };
-        match domains {
-            OutputDomains::Mismatch(diag) => {
-                let mut diag = *diag;
-                diag.output_array = Some(output.clone());
-                prologue.push(Some(diag));
-            }
-            OutputDomains::Match(ea) => {
-                let id = Relation::identity_on(&ea);
-                domain_hashes.push((output.clone(), id.structural_hash()));
-                tasks.push(CheckTask {
-                    output_idx,
-                    trail_a: Vec::new(),
-                    trail_b: Vec::new(),
-                    assumptions: Vec::new(),
-                    depth: 0,
-                    kind: TaskKind::Traverse {
-                        pos_a: Pos::Array(output.clone()),
-                        map_a: id.clone(),
-                        pos_b: Pos::Array(output.clone()),
-                        map_b: id,
-                    },
-                });
-                prologue.push(None);
-            }
-        }
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(slot);
     }
-    expand_tasks(
-        &mut tasks,
-        jobs,
-        jobs * TASKS_PER_WORKER,
-        a,
-        b,
-        opts,
-        ctx,
-        &budget,
-        &mut coordinator_stats,
-    )?;
-    if !opts.assume_clean.is_empty() {
-        coordinator_stats.cone_positions = cone;
-    }
-    coordinator_stats.parallel_tasks = tasks.len() as u64;
-    coordinator_stats.algebraic_piece_tasks = tasks
-        .iter()
-        .filter(|t| matches!(t.kind, TaskKind::MatchPiece { .. }))
-        .count() as u64;
+    let (last, last_reason) = checker.finish();
+    stats.merge(&last);
+    (stats, reason.or(last_reason))
+}
 
-    // Phase 2: the worker pool.  Workers steal tasks off the shared cursor;
-    // every worker re-installs the caller's session feasibility cache so
-    // verdicts computed on one worker are visible to all of them.
-    //
-    // Every task runs under `catch_unwind`: a panicking task poisons only
-    // its own obligation (its slot records the payload; the merge turns it
-    // into a typed [`DiagnosticKind::WorkerPanicked`] inconclusive), and the
-    // worker *quarantines* its local state by discarding the whole `Checker`
-    // — term arena, tabling cache, coinductive assumptions, buffered
-    // diagnostics could all be mid-mutation — and continuing on a fresh one.
-    // The *shared* tables need no rollback: the session feasibility cache
-    // and the engine's equivalence table only ever receive completed
-    // verdicts in a single `put`, so an unwound task has published either
-    // nothing or a finished entry, never partial state.
+/// The worker pool of a parallel run: `jobs` scoped threads drain the task
+/// list, each re-installing the caller's session feasibility cache so
+/// verdicts computed on one worker are visible to all of them, and each
+/// harvesting its own thread's solver counters.
+#[allow(clippy::too_many_arguments)]
+fn run_pool(
+    a: &Addg,
+    b: &Addg,
+    opts: &CheckOptions,
+    ctx: &CheckContext<'_>,
+    fps: Option<&(Fingerprints, Fingerprints)>,
+    outputs: &[String],
+    tasks: &[CheckTask],
+    next: &AtomicUsize,
+    slots: &[Mutex<Option<TaskSlot>>],
+    budget: &SharedBudget,
+    jobs: usize,
+) -> CheckStats {
     let cache = current_feasibility_cache();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<TaskSlot>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    let merged_worker_stats: Mutex<CheckStats> = Mutex::new(CheckStats::default());
-    let workers = jobs.min(tasks.len()).max(1);
+    let merged = Mutex::new(CheckStats::default());
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            // Shadow the shared state as references so the closure can be
-            // `move` (capturing the per-worker id) without moving the data.
-            let (tasks, slots, next, budget, merged_worker_stats, cache, fps, outputs) = (
-                &tasks,
-                &slots,
-                &next,
-                &budget,
-                &merged_worker_stats,
-                &cache,
-                &fps,
-                &outputs,
-            );
+        for w in 0..jobs.min(tasks.len()).max(1) {
+            let (cache, merged) = (&cache, &merged);
             scope.spawn(move || {
                 // Worker lanes are 1-based; 0 is the coordinator thread.
                 arrayeq_trace::set_worker((w + 1) as u32);
-                let drain_queue = || {
-                    let overflow_base = arrayeq_omega::arith_overflow_events();
+                let work = || {
                     let _ = arrayeq_omega::take_arith_overflow();
+                    let overflow_base = arrayeq_omega::arith_overflow_events();
                     let subsumed_base = arrayeq_omega::conjuncts_subsumed_events();
                     let fallback_base = arrayeq_omega::bigint_fallback_events();
-                    consume_injected_overflow();
-                    let mut worker = Checker::new(a, b, opts, ctx, fps.clone(), Some(budget));
-                    let mut stats = CheckStats::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        if PANIC_ON_TASK
-                            .compare_exchange(i, usize::MAX, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                        {
-                            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
-                                Some(TaskSlot::Panicked("injected worker panic".to_owned()));
-                            continue;
-                        }
-                        let _span = arrayeq_trace::span_with("task", || {
-                            vec![
-                                arrayeq_trace::s("output", outputs[task.output_idx].clone()),
-                                arrayeq_trace::s(
-                                    "kind",
-                                    match &task.kind {
-                                        TaskKind::Traverse { .. } => "traverse",
-                                        TaskKind::MatchPiece { .. } => "match_piece",
-                                    },
-                                ),
-                            ]
-                        });
-                        let outcome = catch_unwind(AssertUnwindSafe(|| match &task.kind {
-                            TaskKind::Traverse {
-                                pos_a,
-                                map_a,
-                                pos_b,
-                                map_b,
-                            } => worker.run_task(
-                                pos_a.clone(),
-                                map_a.clone(),
-                                pos_b.clone(),
-                                map_b.clone(),
-                                &task.trail_a,
-                                &task.trail_b,
-                                &task.assumptions,
-                            ),
-                            TaskKind::MatchPiece {
-                                family,
-                                live_a,
-                                live_b,
-                                piece,
-                            } => worker.run_match_task(
-                                family,
-                                live_a,
-                                live_b,
-                                piece,
-                                &task.trail_a,
-                                &task.trail_b,
-                                &task.assumptions,
-                            ),
-                        }));
-                        let slot = match outcome {
-                            Ok(done) => TaskSlot::Done(done),
-                            Err(payload) => {
-                                // Quarantine: the unwound checker's local
-                                // state is untrusted — replace it wholesale
-                                // (keeping only its counters, which are
-                                // volatile and excluded from stable output).
-                                let poisoned = std::mem::replace(
-                                    &mut worker,
-                                    Checker::new(a, b, opts, ctx, fps.clone(), Some(budget)),
-                                );
-                                stats.merge(&poisoned.into_stats());
-                                TaskSlot::Panicked(panic_message(payload))
-                            }
-                        };
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(slot);
-                    }
-                    stats.merge(&worker.into_stats());
+                    let (mut stats, _) = drain(
+                        || Checker::new(a, b, opts, ctx, fps, Some(budget)),
+                        tasks,
+                        next,
+                        slots,
+                        outputs,
+                    );
                     stats.conjuncts_subsumed +=
                         arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
                     stats.bigint_fallbacks +=
@@ -412,172 +400,31 @@ pub(crate) fn verify_addgs_parallel(
                     }
                     stats
                 };
-                let stats = match &cache {
-                    Some(c) => with_feasibility_cache(c.clone(), drain_queue),
-                    None => drain_queue(),
+                let stats = match cache {
+                    Some(c) => with_feasibility_cache(c.clone(), work),
+                    None => work(),
                 };
-                merged_worker_stats
+                merged
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .merge(&stats);
             });
         }
     });
-
-    // Phase 3: deterministic merge.  Diagnostics concatenate in unit order
-    // (per output: prologue first, then its tasks in decomposition order),
-    // which is exactly the sequential traversal's emission order; task
-    // verdicts conjoin; the first pipeline error in task order wins.
-    let mut stats = coordinator_stats;
-    stats.merge(
-        &merged_worker_stats
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner),
-    );
-    // Coordinator-side Omega work (flattening during decomposition) reports
-    // overflow through the same thread-local flag the workers harvest, and
-    // its DNF-engine events through the same monotonic counters.
-    stats.conjuncts_subsumed += arrayeq_omega::conjuncts_subsumed_events() - subsumed_base;
-    stats.bigint_fallbacks += arrayeq_omega::bigint_fallback_events() - fallback_base;
-    if arrayeq_omega::take_arith_overflow() {
-        budget.note_overflow_events(arrayeq_omega::arith_overflow_events() - overflow_base);
-    }
-    let mut results: Vec<Option<TaskSlot>> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    let mut all_ok = true;
-    let mut first_panic: Option<String> = None;
-    let mut diagnostics = Vec::new();
-    for (output_idx, output) in outputs.iter().enumerate() {
-        let skipped_clean = opts.assume_clean.iter().any(|o| o == output);
-        let mut output_ok = true;
-        if let Some(diag) = prologue[output_idx].take() {
-            diagnostics.push(diag);
-            all_ok = false;
-            output_ok = false;
-        }
-        for (i, task) in tasks.iter().enumerate() {
-            if task.output_idx != output_idx {
-                continue;
-            }
-            let outcome = results[i]
-                .take()
-                .expect("every task slot is filled by a worker");
-            match outcome {
-                TaskSlot::Done(done) => {
-                    let (ok, mut task_diags) = match done {
-                        Ok(v) => v,
-                        Err(e) => {
-                            if let Some(reason) = crate::checker::unsupported_fragment(&e) {
-                                if fragment_reason.is_none() {
-                                    fragment_reason = Some(reason);
-                                }
-                                output_ok = false;
-                                continue;
-                            }
-                            return Err(e);
-                        }
-                    };
-                    for d in &mut task_diags {
-                        if d.output_array.is_none() {
-                            d.output_array = Some(output.clone());
-                        }
-                    }
-                    diagnostics.extend(task_diags);
-                    all_ok &= ok;
-                    output_ok &= ok;
-                }
-                TaskSlot::Panicked(message) => {
-                    // The obligation is poisoned, not refuted: it neither
-                    // proves nor disproves anything, so the verdict is
-                    // withheld while every other task's result stands.
-                    diagnostics.push(Diagnostic {
-                        kind: DiagnosticKind::WorkerPanicked,
-                        output_array: Some(output.clone()),
-                        original_statements: task.trail_a.clone(),
-                        transformed_statements: task.trail_b.clone(),
-                        expressions: Vec::new(),
-                        original_mapping: None,
-                        transformed_mapping: None,
-                        message: format!(
-                            "worker task panicked ({message}); this obligation's verdict is \
-                             poisoned and the run is inconclusive"
-                        ),
-                        failing_domain: None,
-                    });
-                    if first_panic.is_none() {
-                        first_panic = Some(message);
-                    }
-                }
-            }
-        }
-        if !skipped_clean {
-            arrayeq_trace::event_with("output_verdict", || {
-                vec![
-                    arrayeq_trace::s("output", output.clone()),
-                    arrayeq_trace::b("ok", output_ok),
-                ]
-            });
-        }
-    }
-    let overflow_events = budget.overflow_events();
-    let verdict = if budget.is_exhausted()
-        || first_panic.is_some()
-        || overflow_events > 0
-        || fragment_reason.is_some()
-    {
-        Verdict::Inconclusive
-    } else if all_ok {
-        Verdict::Equivalent
-    } else {
-        Verdict::NotEquivalent
-    };
-    stats.check_time_us = started.elapsed().as_micros() as u64;
-    let output_fingerprints = crate::checker::output_fingerprints(&outputs, fps.as_ref());
-    let budget_exhausted = budget
-        .take_reason()
-        // Fragment before panic/overflow: the sequential path records the
-        // out-of-fragment reason at the moment it occurs, before the
-        // end-of-run overflow harvest, so this order keeps `render_stable`
-        // identical at every jobs count.
-        .or(fragment_reason)
-        .or(first_panic.map(|message| BudgetExhausted::WorkerPanicked { message }))
-        .or(
-            (overflow_events > 0).then_some(BudgetExhausted::ArithOverflow {
-                events: overflow_events,
-            }),
-        );
-    Ok(Report {
-        verdict,
-        diagnostics,
-        witnesses: Vec::new(),
-        stats,
-        outputs_checked: outputs,
-        output_fingerprints,
-        output_domain_hashes: domain_hashes,
-        budget_exhausted,
-    })
+    merged.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Splits tasks until at least `target` of them exist (or nothing safely
-/// expandable remains).  The shallowest expandable task is split first, so
-/// every output contributes obligations before any one chain is split deep;
-/// children are spliced in place of their parent, preserving the sequential
-/// traversal's depth-first diagnostic order.
-#[allow(clippy::too_many_arguments)]
+/// Splits tasks until at least `jobs × TASKS_PER_WORKER` of them exist (or
+/// nothing safely expandable remains).  The shallowest expandable task is
+/// split first, so every output contributes obligations before any one
+/// chain is split deep; children are spliced in place of their parent,
+/// preserving the traversal's depth-first diagnostic order.
 fn expand_tasks(
     tasks: &mut Vec<CheckTask>,
     jobs: usize,
-    target: usize,
-    a: &Addg,
-    b: &Addg,
-    opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-    budget: &SharedBudget,
-    stats: &mut CheckStats,
+    coordinator: &mut Checker<'_>,
 ) -> Result<()> {
-    'grow: while tasks.len() < target {
+    'grow: while tasks.len() < jobs * TASKS_PER_WORKER {
         // Algebraic piece-splitting only runs while the pool is *starved*
         // (fewer obligations than workers): it is what un-serialises a run
         // dominated by one flatten/match position, but a piece task starts
@@ -585,19 +432,17 @@ fn expand_tasks(
         // work the obligation stays whole and its sub-proof lands in the
         // local and session tables as usual.
         let split_algebraic = tasks.len() < jobs;
-        // Shallowest candidates first, so every output contributes
-        // obligations before any single chain is split deep.
         let mut order: Vec<usize> = (0..tasks.len())
             .filter(|&j| tasks[j].depth < MAX_SPLIT_DEPTH)
             .collect();
         order.sort_by_key(|&j| (tasks[j].depth, j));
         for j in order {
-            match expand_one(&tasks[j], a, b, opts, ctx, budget, split_algebraic, stats)? {
+            match expand_one(&tasks[j], coordinator, split_algebraic)? {
                 Some(children) => {
                     tasks.splice(j..=j, children);
                     continue 'grow;
                 }
-                // Unsplittable (algebraic root, leaf pair, …): mark so it is
+                // Proven whole (leaf pair, refutation, …): mark so it is
                 // never scanned again.
                 None => tasks[j].depth = MAX_SPLIT_DEPTH,
             }
@@ -607,378 +452,76 @@ fn expand_tasks(
     Ok(())
 }
 
-/// Splits one task a single reduction step, mirroring exactly what the
-/// sequential `check` would do at that position — or `None` when the
-/// position must be proven whole (leaf comparisons, positions under an
-/// already-installed matching assumption, operand-count mismatches that
-/// must produce their diagnostic inside a worker).  Algebraic flatten/match
-/// positions are no longer opaque: [`expand_algebraic`] flattens them in
-/// the coordinator and splits the obligation into one task per region
-/// piece.
-#[allow(clippy::too_many_arguments)]
+/// Splits one task by one step of the traversal — [`Checker::resolve`],
+/// then [`Checker::reduce`] — or `None` when the position is proven whole
+/// by one lane.
 fn expand_one(
     task: &CheckTask,
-    a: &Addg,
-    b: &Addg,
-    opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-    budget: &SharedBudget,
+    coordinator: &mut Checker<'_>,
     split_algebraic: bool,
-    stats: &mut CheckStats,
 ) -> Result<Option<Vec<CheckTask>>> {
-    let TaskKind::Traverse {
-        pos_a,
-        map_a,
-        pos_b,
-        map_b,
-    } = &task.kind
-    else {
+    let TaskKind::Traverse(ob) = &task.kind else {
         return Ok(None); // per-piece match tasks are terminal
     };
-    // Mirror of `check`'s Access resolution: compose through the dependency
-    // mapping and continue at the array position.
-    if let Pos::Node(n) = pos_a {
-        if let Node::Access {
-            array,
-            mapping,
-            statement,
-            ..
-        } = a.node(*n)
-        {
-            stats.compositions += 1;
-            let new_map = {
-                let _span = arrayeq_trace::span("compose");
-                let t0 = arrayeq_trace::metrics_timer();
-                let m = map_a.compose(mapping)?.simplified(true);
-                arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                m
-            };
-            let mut trail = task.trail_a.clone();
-            trail.push(statement.clone());
-            return Ok(Some(vec![CheckTask::traverse(
-                task,
-                Pos::Array(array.clone()),
-                new_map,
-                pos_b.clone(),
-                map_b.clone(),
-                trail,
-                task.trail_b.clone(),
-                task.assumptions.clone(),
-            )]));
-        }
-    }
-    if let Pos::Node(n) = pos_b {
-        if let Node::Access {
-            array,
-            mapping,
-            statement,
-            ..
-        } = b.node(*n)
-        {
-            stats.compositions += 1;
-            let new_map = {
-                let _span = arrayeq_trace::span("compose");
-                let t0 = arrayeq_trace::metrics_timer();
-                let m = map_b.compose(mapping)?.simplified(true);
-                arrayeq_trace::record_elapsed(arrayeq_trace::Metric::Composition, t0);
-                m
-            };
-            let mut trail = task.trail_b.clone();
-            trail.push(statement.clone());
-            return Ok(Some(vec![CheckTask::traverse(
-                task,
-                pos_a.clone(),
-                map_a.clone(),
-                Pos::Array(array.clone()),
-                new_map,
-                task.trail_a.clone(),
-                trail,
-                task.assumptions.clone(),
-            )]));
-        }
-    }
-
-    match (pos_a, pos_b) {
-        (Pos::Array(va), Pos::Array(vb)) => {
-            // Focused-checking correspondences terminate the traversal at
-            // this pair; proving them is one leaf comparison.
-            if let Some(focus) = &opts.focus {
-                if focus
-                    .intermediate_pairs
-                    .iter()
-                    .any(|(x, y)| x == va && y == vb)
-                {
-                    return Ok(None);
-                }
-            }
-            // Under an assumption for this very pair the sequential check
-            // consults the assumed element pairs before reducing; leave that
-            // decision to a worker.
-            if task
-                .assumptions
-                .iter()
-                .any(|((x, y), _)| x == va && y == vb)
-            {
-                return Ok(None);
-            }
-            if !a.is_input(va) {
-                // Mirror of `reduce_side_a`, with the recurrence assumption
-                // the sequential reduction installs around its children.
-                let pairs = map_a.inverse().compose(map_b)?;
-                let mut assumptions = task.assumptions.clone();
-                assumptions.push(((va.clone(), vb.clone()), pairs));
-                return split_side_a(task, a, va, assumptions).map(Some);
-            }
-            if !b.is_input(vb) {
-                return split_side_b(task, b, vb).map(Some);
-            }
-            Ok(None) // both inputs: a single leaf-mapping comparison
-        }
-        (Pos::Array(va), Pos::Node(_)) => {
-            if a.is_input(va) {
-                // Leaf-versus-operator: either the algebraic one-term
-                // reading or its diagnostic — one task either way.
-                return Ok(None);
-            }
-            // `reduce_side_a` without an assumption (the recurrence key
-            // needs an array position on both sides).
-            split_side_a(task, a, va, task.assumptions.clone()).map(Some)
-        }
-        (Pos::Node(_), Pos::Array(vb)) => {
-            if b.is_input(vb) {
-                return Ok(None);
-            }
-            split_side_b(task, b, vb).map(Some)
-        }
-        (Pos::Node(na), Pos::Node(nb)) => {
-            let (
-                Node::Operator {
-                    kind: ka,
-                    operands: oa,
-                    statement: sa,
-                },
-                Node::Operator {
-                    kind: kb,
-                    operands: ob,
-                    statement: sb,
-                },
-            ) = (a.node(*na), b.node(*nb))
-            else {
-                // Const pairs and operator/constant chains: trivial tasks
-                // (the worker folds or diagnoses them whole).
-                return Ok(None);
-            };
-            // Mirror of `check_nodes`' dispatch: a shared chain family means
-            // a flatten/match obligation, which the coordinator can split
-            // into per-piece sub-obligations.
-            if let Some(family) = normalize::chain_family(ka, kb, &opts.operators, opts.method) {
-                if !split_algebraic {
-                    // Pool already saturated: the flatten/match obligation
-                    // stays whole so its proof is tabled and published.
-                    return Ok(None);
-                }
-                return expand_algebraic(
-                    task,
-                    family,
-                    Pos::Node(*na),
-                    map_a.clone(),
-                    Pos::Node(*nb),
-                    map_b.clone(),
-                    with_stmt(&task.trail_a, sa),
-                    with_stmt(&task.trail_b, sb),
-                    a,
-                    b,
-                    opts,
-                    ctx,
-                    budget,
-                    stats,
-                );
-            }
-            if ka != kb || oa.len() != ob.len() {
-                return Ok(None); // the worker produces the diagnostic
-            }
-            // Mirror of the positional operand pairing.
-            let trail_a = with_stmt(&task.trail_a, sa);
-            let trail_b = with_stmt(&task.trail_b, sb);
-            let children = oa
-                .iter()
-                .zip(ob.iter())
-                .map(|(x, y)| {
-                    CheckTask::traverse(
-                        task,
-                        Pos::Node(*x),
-                        map_a.clone(),
-                        Pos::Node(*y),
-                        map_b.clone(),
-                        trail_a.clone(),
-                        trail_b.clone(),
-                        task.assumptions.clone(),
-                    )
-                })
-                .collect();
-            Ok(Some(children))
-        }
-    }
-}
-
-/// Splits one flatten/match obligation into per-region-piece tasks: the
-/// coordinator replays the *flattening* (compositions and restrictions, no
-/// proving — the same work the sequential traversal performs before its
-/// first match) and restricts the term lists per piece; each piece's match
-/// is an independent sub-obligation for the pool, and the coordinator's
-/// flatten is reused even for single-region chains.  `None` only when a
-/// budget tripped mid-flatten (a worker then re-derives the whole
-/// obligation under the shared budget).
-#[allow(clippy::too_many_arguments)]
-fn expand_algebraic(
-    task: &CheckTask,
-    family: OperatorKind,
-    pos_a: Pos,
-    map_a: Relation,
-    pos_b: Pos,
-    map_b: Relation,
-    trail_a: Vec<String>,
-    trail_b: Vec<String>,
-    a: &Addg,
-    b: &Addg,
-    opts: &CheckOptions,
-    ctx: &CheckContext<'_>,
-    budget: &SharedBudget,
-    stats: &mut CheckStats,
-) -> Result<Option<Vec<CheckTask>>> {
-    // The scratch checker accounts against the run-wide budget: its visit
-    // counts flush into the same shared counter the workers use, so
-    // coordinator-side flattening cannot exceed `max_work` unbounded.
-    let mut scratch = Checker::new(a, b, opts, ctx, None, Some(budget));
-    scratch.stats.flattenings += 1;
-    let full = map_a.domain();
-    let mut terms_a = Vec::new();
-    let ok_a = scratch.flatten_family(
-        true,
-        &family,
-        pos_a,
-        map_a,
-        trail_a.clone(),
-        1,
-        true,
-        &mut terms_a,
-    )?;
-    let mut terms_b = Vec::new();
-    let ok_b = scratch.flatten_family(
-        false,
-        &family,
-        pos_b,
-        map_b,
-        trail_b.clone(),
-        1,
-        true,
-        &mut terms_b,
-    )?;
-    if !ok_a || !ok_b {
-        return Ok(None);
-    }
-    scratch.stats.terms_flattened += (terms_a.len() + terms_b.len()) as u64;
-    let pieces = matching::split_pieces(&full, &terms_a, &terms_b)?;
-    // Even a single-region chain becomes a piece task: the coordinator's
-    // flatten is then *reused* by the worker (which runs only the match)
-    // instead of re-derived — returning `None` here would double the
-    // flatten work of every algebraic obligation the expansion reached.
-    stats.merge(&scratch.into_stats());
-    let mut children = Vec::with_capacity(pieces.len());
-    for piece in pieces {
-        let live_a = matching::restrict_terms(&terms_a, &piece)?;
-        let live_b = matching::restrict_terms(&terms_b, &piece)?;
-        children.push(CheckTask {
-            output_idx: task.output_idx,
-            trail_a: trail_a.clone(),
-            trail_b: trail_b.clone(),
-            assumptions: task.assumptions.clone(),
-            // Pieces are atomic: the match itself is one greedy, stateful
-            // obligation, never re-scanned for expansion.
-            depth: MAX_SPLIT_DEPTH,
-            kind: TaskKind::MatchPiece {
-                family: family.clone(),
-                live_a,
-                live_b,
-                piece,
-            },
-        });
-    }
-    Ok(Some(children))
-}
-
-/// Mirror of `reduce_side_a`: one child per definition of `va` whose
-/// elements the current mapping reaches.
-fn split_side_a(
-    task: &CheckTask,
-    a: &Addg,
-    va: &str,
-    assumptions: Vec<((String, String), Relation)>,
-) -> Result<Vec<CheckTask>> {
-    let TaskKind::Traverse {
-        pos_b,
-        map_a,
-        map_b,
-        ..
-    } = &task.kind
-    else {
-        unreachable!("split_side_a is only called on traversal tasks");
+    let ob = match coordinator.resolve(ob.reborrow())? {
+        Resolved::Composed(child) => return Ok(Some(vec![task.child(child, None)])),
+        Resolved::Focus(_) => return Ok(None),
+        Resolved::Open(ob) => ob,
     };
-    let mut children = Vec::new();
-    for def in a.definitions(va) {
-        let sub_a = map_a.restrict_range(&def.elements)?.simplified(true);
-        if sub_a.is_empty() {
-            continue;
+    // Under an assumption for this very pair the traversal consults it and,
+    // on a miss, re-installs it for the subtree only; that scoping has no
+    // task form, so the position stays whole.
+    if let Some((va, vb)) = ob.array_pair() {
+        if task
+            .assumptions
+            .iter()
+            .any(|((x, y), _)| x == va && y == vb)
+        {
+            return Ok(None);
         }
-        let sub_domain = sub_a.domain();
-        let sub_b = map_b.restrict_domain(&sub_domain)?.simplified(true);
-        let mut trail = task.trail_a.clone();
-        trail.push(def.statement.clone());
-        children.push(CheckTask::traverse(
-            task,
-            Pos::Node(def.root),
-            sub_a,
-            pos_b.clone(),
-            sub_b,
-            trail,
-            task.trail_b.clone(),
-            assumptions.clone(),
-        ));
     }
-    Ok(children)
-}
-
-/// Mirror of `reduce_side_b`: one child per definition of `vb`.
-fn split_side_b(task: &CheckTask, b: &Addg, vb: &str) -> Result<Vec<CheckTask>> {
-    let TaskKind::Traverse {
-        pos_a,
-        map_a,
-        map_b,
-        ..
-    } = &task.kind
-    else {
-        unreachable!("split_side_b is only called on traversal tasks");
-    };
-    let mut children = Vec::new();
-    for def in b.definitions(vb) {
-        let sub_b = map_b.restrict_range(&def.elements)?.simplified(true);
-        if sub_b.is_empty() {
-            continue;
+    Ok(match coordinator.reduce(&ob)? {
+        Reduction::Definitions {
+            children, assume, ..
+        } => Some(
+            children
+                .into_iter()
+                .map(|(_, child)| task.child(child, assume.clone()))
+                .collect(),
+        ),
+        Reduction::Operands(children) => Some(
+            children
+                .into_iter()
+                .map(|child| task.child(child, None))
+                .collect(),
+        ),
+        // Even a single-region chain becomes a piece task: the coordinator's
+        // flatten is then reused by the lane (which runs only the match)
+        // instead of re-derived.
+        Reduction::Algebraic { family, chain } if split_algebraic => {
+            let Some(flat) = coordinator.flatten_pieces(&family, &chain)? else {
+                return Ok(None);
+            };
+            let mut pieces = Vec::with_capacity(flat.pieces.len());
+            for set in &flat.pieces {
+                pieces.push(CheckTask {
+                    output: task.output,
+                    assumptions: task.assumptions.clone(),
+                    // Pieces are atomic: the match itself is one greedy,
+                    // stateful obligation.
+                    depth: MAX_SPLIT_DEPTH,
+                    kind: TaskKind::MatchPiece {
+                        family: family.clone(),
+                        piece: flat.piece(set)?,
+                        trail_a: chain.trail_a.to_vec(),
+                        trail_b: chain.trail_b.to_vec(),
+                    },
+                });
+            }
+            Some(pieces)
         }
-        let sub_domain = sub_b.domain();
-        let sub_a = map_a.restrict_domain(&sub_domain)?.simplified(true);
-        let mut trail = task.trail_b.clone();
-        trail.push(def.statement.clone());
-        children.push(CheckTask::traverse(
-            task,
-            pos_a.clone(),
-            sub_a,
-            Pos::Node(def.root),
-            sub_b,
-            task.trail_a.clone(),
-            trail,
-            task.assumptions.clone(),
-        ));
-    }
-    Ok(children)
+        // Leaf comparisons, settled positions and (with the pool saturated)
+        // whole algebraic chains, whose proof is then tabled and published.
+        _ => None,
+    })
 }

@@ -163,7 +163,7 @@ pub fn baseline_to_json(
 }
 
 /// Fingerprints the *verdict-relevant* subset of [`CheckOptions`]: method,
-/// operator algebra, tabling keying scheme and focus — everything under
+/// operator algebra, tabling and focus — everything under
 /// which a sub-proof entry is (in)valid.  Budgets (`max_work`), parallelism
 /// (`jobs`) and the cone focus itself (`assume_clean`) are deliberately
 /// excluded: they change how much work a run does, never which sub-proofs
@@ -171,17 +171,10 @@ pub fn baseline_to_json(
 pub fn options_fingerprint(opts: &CheckOptions) -> u64 {
     let mut canonical = format!(
         concat!(
-            "method={:?};operators={:?};tabling={};string_table_keys={};",
-            "position_table_keys={};focus={:?};check_def_use={};check_class={}"
+            "method={:?};operators={:?};tabling={};",
+            "focus={:?};check_def_use={};check_class={}"
         ),
-        opts.method,
-        opts.operators,
-        opts.tabling,
-        opts.string_table_keys,
-        opts.position_table_keys,
-        opts.focus,
-        opts.check_def_use,
-        opts.check_class,
+        opts.method, opts.operators, opts.tabling, opts.focus, opts.check_def_use, opts.check_class,
     );
     // Parameter promotion changes what is being proven (a sub-proof at
     // `N = 1024` says nothing about symbolic `N`), so it invalidates
@@ -356,8 +349,8 @@ mod tests {
         );
         let different = CheckOptions::basic();
         assert_ne!(options_fingerprint(&base), options_fingerprint(&different));
-        let keyed = CheckOptions::default().with_string_table_keys();
-        assert_ne!(options_fingerprint(&base), options_fingerprint(&keyed));
+        let untabled = CheckOptions::default().without_tabling();
+        assert_ne!(options_fingerprint(&base), options_fingerprint(&untabled));
         // Parameter promotion changes what is proven, so it must re-key.
         let parametric = CheckOptions::default().with_params(vec![("N".into(), 1)]);
         assert_ne!(options_fingerprint(&base), options_fingerprint(&parametric));

@@ -7,7 +7,10 @@
 //!   kernels;
 //! * **Stats consistency** — `jobs = 1` takes the sequential path and
 //!   reproduces the plain sequential run's counters exactly; merged
-//!   parallel counters respect the same internal identities;
+//!   parallel counters respect the same internal identities; without
+//!   tabling the decomposer replays exactly the traversal's steps, so the
+//!   work counters (compositions, flattenings, matchings, paths compared)
+//!   are identical at every job count;
 //! * **Cache sharing** — the workers of one parallel engine query feed the
 //!   session's shared feasibility memo and equivalence table across
 //!   threads (the PR3 session snapshot showed `feasibility_hits: 0`: the
@@ -79,6 +82,30 @@ fn same_request_at_jobs_1_2_8_renders_byte_identically() {
                 baseline,
                 par.render_stable(),
                 "{name}: stable report differs at jobs={jobs}"
+            );
+        }
+        // Untabled, every step is performed exactly once by some lane — the
+        // traversal itself or the decomposer calling the same steps — so
+        // the work counters cannot depend on the schedule.
+        let untabled = CheckOptions::default().without_tabling();
+        let seq = verify_programs(&original, &transformed, &untabled)
+            .unwrap_or_else(|e| panic!("{name} untabled: {e}"));
+        let work = |s: &arrayeq_core::CheckStats| {
+            (s.compositions, s.flattenings, s.matchings, s.paths_compared)
+        };
+        for jobs in [2usize, 8] {
+            let par = verify_programs(&original, &transformed, &untabled.clone().with_jobs(jobs))
+                .unwrap_or_else(|e| panic!("{name} untabled jobs={jobs}: {e}"));
+            assert_eq!(
+                seq.render_stable(),
+                par.render_stable(),
+                "{name} jobs={jobs}"
+            );
+            assert_eq!(
+                work(&seq.stats),
+                work(&par.stats),
+                "{name}: (compositions, flattenings, matchings, paths_compared) \
+                 differ untabled at jobs={jobs}"
             );
         }
     }

@@ -236,6 +236,34 @@ fn metrics_registry_accumulates_and_serializes() {
     }
 }
 
+/// Flatten time is attributed at every job count: the `flatten` metric
+/// counts exactly the flattenings the report's stats count, whether the
+/// chain was flattened by the traversal or split into per-piece tasks by
+/// the parallel decomposer.
+#[test]
+fn flatten_metric_counts_every_flattening_at_any_job_count() {
+    let _g = LOCK.lock().unwrap();
+    for jobs in [1usize, 8] {
+        let verifier = Verifier::builder().jobs(jobs).metrics(true).build();
+        let outcome = verifier
+            .verify(&VerifyRequest::source(FIG1_A, FIG1_C))
+            .unwrap();
+        let snapshot = verifier.metrics_snapshot().expect("metrics enabled");
+        arrayeq_trace::uninstall_metrics();
+        assert!(outcome.report.is_equivalent());
+        let flatten = snapshot
+            .metrics
+            .iter()
+            .find(|m| m.name == "flatten")
+            .expect("a flatten metric");
+        assert!(outcome.report.stats.flattenings > 0, "jobs={jobs}");
+        assert_eq!(
+            flatten.count, outcome.report.stats.flattenings,
+            "jobs={jobs}: flatten metric count vs flattenings in the stats"
+        );
+    }
+}
+
 /// `--explain`'s renderer, driven end-to-end through an incremental run:
 /// clean outputs are credited to the baseline and every checked output
 /// names a discharge mechanism or a direct proof.

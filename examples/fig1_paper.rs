@@ -1,6 +1,7 @@
 //! Reproduces the paper's running example: the four program versions of
-//! Fig. 1 and the verdicts of Sections 5 and 6 (E1/E3 of EXPERIMENTS.md),
-//! issued as one parallel batch through the persistent engine.
+//! Fig. 1 and the verdicts of Sections 5 and 6 (experiments E1/E3 of
+//! `run_experiments`), issued as one parallel batch through the persistent
+//! engine.
 //!
 //! Run with `cargo run --release --example fig1_paper`.
 
